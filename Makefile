@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-perf bench bench-serve bench-smoke bench-regress \
+.PHONY: test test-perf bench bench-serve bench-smoke bench-regress bench-check \
         regress lint lint-effects fuzz-smoke fuzz-selftest fuzz-crash \
         fuzz-faults fuzz-parallel fuzz-snapshots fuzz-serve \
         corpus-replay clean
@@ -45,6 +45,18 @@ bench-smoke:
 ## loosened accordingly (CI machines vary, ratios don't).
 bench-regress:
 	$(PYTHON) benchmarks/regress.py --cells gate --threshold 10.0
+
+## Repository-benchmark gate: each perfbench workload for 4 s,
+## untraced.  perfbench/run.py checks every round (exactly-once
+## answers, shard invariants, pinned total == fold of values(), counts
+## that repeat across rounds) and exits non-zero on a failed check;
+## the JSON line it prints last must also say "correct": true.
+BENCH_WORKLOADS := serve-4k serve-tiny contract-labels contract-churn
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 4 --trace 0) || { echo "bench-check: $$w exited non-zero"; exit 1; }; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c "import json, sys; d = json.loads(sys.stdin.read()); print('bench-check: $$w correct=%s failed=%s' % (d['correct'], d['failed'])); sys.exit(0 if d['correct'] is True else 1)" || exit 1; \
+	done
 
 ## Regression gate against the committed baseline (exit 1 on >25%
 ## wall-clock regression or any simulated-cost drift; exit 3 on a

@@ -45,7 +45,18 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import (
     EmptyTreeError,
@@ -73,6 +84,16 @@ from ..splitting.shortcuts import (
 __all__ = ["FlatLeaf", "FlatRBSTS"]
 
 NIL = -1
+
+
+def _target_pick(depth: int, ratio: float) -> Callable[[List[int]], Tuple[int, ...]]:
+    """Getter of a depth-``depth`` slot's shortcut targets off its
+    ancestor path (root first), at C speed."""
+    targets = shortcut_target_depths(depth, ratio)
+    if len(targets) == 1:
+        (t,) = targets
+        return lambda path: (path[t],)
+    return itemgetter(*targets)
 
 
 class FlatLeaf:
@@ -145,6 +166,13 @@ class FlatRBSTS:
         # MVCC epoch counter (repro.snapshots.core).
         self._txn: Optional[FlatJournal] = None
         self._snapshot_epoch = 0
+        # Whether the current state passed a supervised audit: the
+        # region audit (``check_invariants(since=...)``) trusts only a
+        # pre-state that did.  Opening a writer bracket clears it and a
+        # rewind restores the capture's value (``FlatSnapshot``).
+        self._audited = False
+        # depth -> shortcut-target getter for the audit (``_target_pick``)
+        self._target_picks: Dict[int, Callable[[List[int]], Tuple[int, ...]]] = {}
         self._rng = random.Random(seed)
         self.summarizer = summarizer
         self.ratio = ratio
@@ -1232,6 +1260,7 @@ class FlatRBSTS:
     def _txn_begin(self) -> FlatJournal:
         journal = FlatJournal(self)
         txn_begin(self, journal)
+        self._audited = False
         return journal
 
     def _txn_rollback(self, journal: FlatJournal) -> None:
@@ -1303,29 +1332,69 @@ class FlatRBSTS:
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
+    def check_invariants(self, since: Optional[FlatJournal] = None) -> None:
         """Verify every structural invariant (the reference checks plus
-        slab-specific ones: free/live disjointness, handle interning)."""
+        slab-specific ones: free/live disjointness, handle interning).
+
+        ``since`` is the open snapshot bracketing a batch (the
+        supervised post-apply audit passes it).  Every invariant is
+        local — it relates a slot to its parent, children or ancestor
+        chain — and every mutation inside the bracket goes through the
+        snapshot seam, so if the state at ``since``'s capture passed an
+        audit, only the batch's dirty region (:meth:`_dirty_region`)
+        can break one, and only that region is checked.  The full walk
+        runs instead when the capture state has not passed an audit
+        (construction, ``SnapshotState`` restore, a transaction closed
+        without one), when the shortcut presence threshold moved (it
+        decides which untouched slots must carry shortcuts), or when
+        the region is not smaller than the slab.
+        """
+        if since is None:
+            self._check_all()
+            return
+        region: Optional[List[int]] = None
+        if since.audited and presence_threshold(
+            since.highwater
+        ) == presence_threshold(self._n_highwater):
+            region = self._dirty_region(since)
+            if len(region) >= len(self._parent):
+                region = None
+        if region is None:
+            self._check_all()
+        else:
+            self._check_region(region)
+        # Vouch for the state only as the outermost writer bracket: a
+        # batch flattening into an outer writer opens no bracket of its
+        # own, so nothing would clear the mark after it mutates.
+        outer = since._outer
+        while outer is not None and outer.pinned:
+            outer = outer._outer
+        if outer is None:
+            self._audited = True
+
+    def _slot_checker(self, free: Set[int]) -> Callable[[int, List[int]], None]:
+        """The per-slot invariant checks, shared by the full walk and
+        the region pass: ``check(node, path)`` audits live slot
+        ``node`` whose ancestors, root first, are ``path`` (``path[t]``
+        is the ancestor at depth ``t``)."""
         parent, left, right = self._parent, self._left, self._right
         counts, height, depth = self._n_leaves, self._height, self._depth
-        threshold = presence_threshold(self._n_highwater)
-        if parent[self.root_index] != NIL:
-            raise TreeStructureError("root has a parent")
-        free = set(self._free)
-        live = 0
-        path: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self.root_index, True)]
-        while stack:
-            node, entering = stack.pop()
-            if not entering:
-                path.pop()
-                continue
-            live += 1
+        shortcuts, active, low = self._shortcuts, self._active, self._low
+        item, summary, handle = self._item, self._summary, self._handle
+        limit = 2 * presence_threshold(self._n_highwater)
+        ratio, picks = self.ratio, self._target_picks
+        summarizer = self.summarizer
+        of_item = combine = None
+        if summarizer is not None:
+            of_item, combine = summarizer.of_item, summarizer.monoid.combine
+
+        def check(node: int, path: List[int]) -> None:
             if node in free:
                 raise TreeStructureError(f"live slot {node} is on the free list")
-            if depth[node] != len(path):
+            d = depth[node]
+            if d != len(path):
                 raise TreeStructureError(
-                    f"slot {node} depth {depth[node]} != path length {len(path)}"
+                    f"slot {node} depth {d} != path length {len(path)}"
                 )
             l, r = left[node], right[node]
             if l == NIL:
@@ -1335,16 +1404,13 @@ class FlatRBSTS:
                     raise TreeStructureError(
                         f"leaf {node} has n={counts[node]}, h={height[node]}"
                     )
-                if self.summarizer is not None:
-                    # §3's exactly-maintained invariant reaches the
-                    # leaves: summary must equal of_item(item).  A
-                    # corrupted *root* leaf (single-leaf tree) has no
-                    # internal combine above it to expose the damage.
-                    if self._summary[node] != self.summarizer.of_item(
-                        self._item[node]
-                    ):
-                        raise TreeStructureError(f"bad summary at {node}")
-                h = self._handle[node]
+                # §3's exactly-maintained invariant reaches the leaves:
+                # summary must equal of_item(item).  A corrupted *root*
+                # leaf (single-leaf tree) has no internal combine above
+                # it to expose the damage.
+                if of_item is not None and summary[node] != of_item(item[node]):
+                    raise TreeStructureError(f"bad summary at {node}")
+                h = handle[node]
                 if h is not None and (h.tree is not self or h.idx != node):
                     raise TreeStructureError(f"mis-interned handle at {node}")
             else:
@@ -1354,39 +1420,126 @@ class FlatRBSTS:
                     raise TreeStructureError("broken parent link")
                 if counts[node] != counts[l] + counts[r]:
                     raise TreeStructureError(f"bad n_leaves at {node}")
-                if height[node] != 1 + max(height[l], height[r]):
+                hl, hr = height[l], height[r]
+                if height[node] != 1 + (hl if hl >= hr else hr):
                     raise TreeStructureError(f"bad height at {node}")
-                if self.summarizer is not None:
-                    expect = self.summarizer.monoid.combine(
-                        self._summary[l], self._summary[r]
-                    )
-                    if expect != self._summary[node]:
-                        raise TreeStructureError(f"bad summary at {node}")
-            sc = self._shortcuts[node]
+                if combine is not None and combine(
+                    summary[l], summary[r]
+                ) != summary[node]:
+                    raise TreeStructureError(f"bad summary at {node}")
+            sc = shortcuts[node]
             if sc is not None:
-                if depth[node] == 0:
+                if d == 0:
                     raise TreeStructureError("root must not carry shortcuts")
-                targets = shortcut_target_depths(depth[node], self.ratio)
-                if tuple(depth[s] for s in sc) != tuple(targets):
-                    raise TreeStructureError(f"shortcut depths wrong at {node}")
-                for s, t in zip(sc, targets):
-                    if s != path[t]:
-                        raise TreeStructureError(
-                            f"shortcut at {node} is not the ancestor at depth {t}"
-                        )
-            elif depth[node] > 0 and height[node] > 2 * threshold:
+                # Each listed slot must be the ancestor at its target
+                # depth; that ancestor's own depth cell is checked at
+                # the ancestor.
+                pick = picks.get(d)
+                if pick is None:
+                    pick = picks[d] = _target_pick(d, ratio)
+                if sc != pick(path):
+                    raise TreeStructureError(
+                        f"shortcuts at {node} are not its ancestors at "
+                        f"depths {shortcut_target_depths(d, ratio)}"
+                    )
+            elif d > 0 and height[node] > limit:
                 raise TreeStructureError(
                     f"slot {node} (h={height[node]}) must carry shortcuts"
                 )
-            if self._active[node] or self._low[node] is not None:
+            if active[node] or low[node] is not None:
                 raise TreeStructureError(f"stale activation state on {node}")
+
+        return check
+
+    def _walk(self, free: Set[int], within: Optional[Set[int]] = None) -> List[int]:
+        """DFS from the root over child links, applying the per-slot
+        checks to every slot it reaches; with ``within`` it descends
+        only into those slots.  Returns the slots reached (live)."""
+        left, right = self._left, self._right
+        if self._parent[self.root_index] != NIL:
+            raise TreeStructureError("root has a parent")
+        check = self._slot_checker(free)
+        reached: List[int] = []
+        path: List[int] = []
+        # (slot, length of its ancestor path)
+        stack: List[Tuple[int, int]] = [(self.root_index, 0)]
+        while stack:
+            node, k = stack.pop()
+            del path[k:]
+            reached.append(node)
+            check(node, path)
+            l = left[node]
             if l != NIL:
                 path.append(node)
-                stack.append((node, False))
-                stack.append((r, True))
-                stack.append((l, True))
-        if live + len(free) != len(parent):
+                k += 1
+                r = right[node]
+                if within is None or r in within:
+                    stack.append((r, k))
+                if within is None or l in within:
+                    stack.append((l, k))
+        return reached
+
+    def _check_all(self) -> None:
+        """The full walk: every live slot, then the slab accounting
+        (live + free == allocated)."""
+        free = set(self._free)
+        live = len(self._walk(free))
+        if live + len(free) != len(self._parent):
             raise TreeStructureError(
                 f"slab leak: {live} live + {len(free)} free != "
-                f"{len(parent)} slots"
+                f"{len(self._parent)} slots"
             )
+
+    def _dirty_region(self, since: FlatJournal) -> List[int]:
+        """The slots whose checks can see a cell the batch bracketed by
+        ``since`` wrote, sorted.  The dirty slots are the pre-existing
+        slots it wrote (the copy-on-write pre-images), the slots born
+        past the capture length, the free-list entries added since
+        capture and both roots.  A check reads its own slot's cells,
+        its children's cells and its ancestors' links, so the region
+        adds the parents of every dirty slot and the children of every
+        relinked one (born, or a parent/left/right cell changed) —
+        before and after the batch.  Below a relinked slot's children
+        nothing needs a look: their own checks tie the rest of the
+        subtree's depths to theirs."""
+        parent, left, right = self._parent, self._left, self._right
+        born = range(since.snap_len, len(parent))
+        dirty = list(since.saved)
+        dirty.extend(born)
+        dirty.extend(self._free[since.free_floor :])
+        dirty.append(self.root_index)
+        dirty.append(since.root_index)
+        region = set(dirty)
+        region.update(map(parent.__getitem__, dirty))
+        relinked = list(born)
+        for s, pre in since.saved.items():
+            p, l, r = pre[0], pre[1], pre[2]
+            region.add(p)
+            if p != parent[s] or l != left[s] or r != right[s]:
+                relinked.append(s)
+                region.add(l)
+                region.add(r)
+        region.update(map(left.__getitem__, relinked))
+        region.update(map(right.__getitem__, relinked))
+        region.discard(NIL)
+        return sorted(region)
+
+    def _check_region(self, region: Sequence[int]) -> None:
+        """Check the slots of ``region`` only: the walk descends just
+        into the region's parent chains, so it reaches (and checks)
+        each live region slot with its ancestors, O(depth) per slot.
+        Any region slot it does not reach must be on the free list —
+        the slab accounting, slot by slot."""
+        parent = self._parent
+        spine: Set[int] = set()
+        for s in region:
+            while s != NIL and s not in spine:
+                spine.add(s)
+                s = parent[s]
+        free = set(self._free)
+        live = set(self._walk(free, spine))
+        for s in region:
+            if s not in live and s not in free:
+                raise TreeStructureError(
+                    f"slab leak: slot {s} is neither live nor free"
+                )

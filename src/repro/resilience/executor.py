@@ -66,9 +66,11 @@ RECOVERABLE = (
 class ResiliencePolicy:
     """Knobs for the supervision loop and the degradation ladder.
 
-    ``detect="deep"`` audits ``check_invariants`` after every batch;
-    ``"light"`` trusts the caller's verifier and the backends' own
-    checks (the perf-harness setting — O(1) per batch instead of O(n)).
+    ``detect="deep"`` audits ``check_invariants`` after every batch —
+    on the flat family only the batch's dirty region, O(|region| ·
+    depth), with a full O(n) walk when the pre-state was never audited
+    or the shortcut threshold moved; ``"light"`` skips that audit and
+    trusts the caller's verifier and the backends' own checks.
     Backoff is *simulated* (accumulated in stats, never slept) so
     supervised runs stay deterministic and fast.
     """
@@ -150,7 +152,9 @@ class ResilientExecutor:
 
         Success path: take ONE snapshot per supervised call (when
         ``tree`` is given), run the thunk, run the verifier and (in
-        ``deep`` mode) the tree's invariant audit, commit, return.
+        ``deep`` mode) the tree's invariant audit over the region the
+        snapshot saw written (``check_invariants(since=snapshot)``),
+        commit, return.
         Recoverable failure path: *rewind* the snapshot without
         detaching it (``snapshot.restore`` — the unified snapshot layer
         keeps its copy-on-write pre-images valid across the rewind, so
@@ -177,7 +181,9 @@ class ResilientExecutor:
                 if verify is not None:
                     verify(result)
                 if tree is not None and policy.detect == "deep":
-                    tree.check_invariants()
+                    # The flat family audits only the region the
+                    # snapshot saw written (full walk as fallback).
+                    tree.check_invariants(since=journal)
                 if journal is not None:
                     tree._txn_commit(journal)
                 return result

@@ -8,9 +8,9 @@ slab epochs.  This module collapses them into one abstraction:
 * :class:`FlatSnapshot` — O(1) creation over the flat/parallel column
   stores.  Capture records only the column lengths, the free-list
   length, and the scalar registers (root index, RNG state, high-water
-  mark, ``last_batch_stats``); pre-images are then captured
-  copy-on-write at the *first* write to each pre-existing slot through
-  the journal seam (``tree._journal``).  Because a
+  mark, ``last_batch_stats``, the audited mark); pre-images are then
+  captured copy-on-write at the *first* write to each pre-existing
+  slot through the journal seam (``tree._journal``).  Because a
   :class:`~repro.perf.parallel.slab.SlabColumn` implements the full
   list protocol, the same snapshot covers ``backend="parallel"``
   shared-memory slabs without parallel-specific code.
@@ -329,6 +329,7 @@ class FlatSnapshot(Snapshot):
         "rng_state",
         "highwater",
         "stats",
+        "audited",
     )
 
     def __init__(self, tree: Any) -> None:
@@ -341,6 +342,7 @@ class FlatSnapshot(Snapshot):
         self.rng_state = tree._rng.getstate()
         self.highwater = tree._n_highwater
         self.stats = dict(tree.last_batch_stats)
+        self.audited = tree._audited
 
     # -- recording hooks ------------------------------------------------
     def save_slot(self, tree: Any, i: int) -> None:
@@ -406,6 +408,7 @@ class FlatSnapshot(Snapshot):
         tree._rng.setstate(self.rng_state)
         tree._n_highwater = self.highwater
         tree.last_batch_stats = dict(self.stats)
+        tree._audited = self.audited
         _bump_epoch(tree)
 
     # -- MVCC read path -------------------------------------------------
@@ -699,6 +702,9 @@ class SnapshotState:
             hooks.restore_column(tree, name)
         tree._free[:] = list(self.free)
         tree.root_index = self.root_index
+        # Replaced outside the snapshot stack: the next supervised
+        # audit must walk the whole tree.
+        tree._audited = False
         hooks.restore_scalars(tree)
 
     def _restore_reference(self, tree: Any, live: bool) -> None:

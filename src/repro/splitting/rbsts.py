@@ -875,8 +875,12 @@ class RBSTS:
     # ------------------------------------------------------------------
     # invariants (used heavily by the test suite)
     # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Verify every structural invariant; raise on violation."""
+    def check_invariants(self, since: Any = None) -> None:
+        """Verify every structural invariant; raise on violation.
+
+        ``since`` (the open snapshot bracketing a batch) is accepted for
+        parity with the flat backend's region audit; the pointer graph
+        always runs the full walk."""
         threshold = presence_threshold(self._n_highwater)
         # Iterative DFS carrying the root path for shortcut verification.
         path: List[BSTNode] = []
