@@ -1494,10 +1494,11 @@ class FlatRBSTS:
         """The slots whose checks can see a cell the batch bracketed by
         ``since`` wrote, sorted.  The dirty slots are the pre-existing
         slots it wrote (the copy-on-write pre-images), the slots born
-        past the capture length, the free-list entries added since
-        capture and both roots.  A check reads its own slot's cells,
-        its children's cells and its ancestors' links, so the region
-        adds the parents of every dirty slot and the children of every
+        past the capture length and the free-list entries added since
+        capture; a root that changed is among them, and the walk checks
+        the root anyway.  A check reads its own slot's cells, its
+        children's cells and its ancestors' links, so the region adds
+        the parents of every dirty slot and the children of every
         relinked one (born, or a parent/left/right cell changed) —
         before and after the batch.  Below a relinked slot's children
         nothing needs a look: their own checks tie the rest of the
@@ -1507,8 +1508,6 @@ class FlatRBSTS:
         dirty = list(since.saved)
         dirty.extend(born)
         dirty.extend(self._free[since.free_floor :])
-        dirty.append(self.root_index)
-        dirty.append(since.root_index)
         region = set(dirty)
         region.update(map(parent.__getitem__, dirty))
         relinked = list(born)
