@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-perf bench bench-serve bench-smoke bench-regress bench-check \
+.PHONY: test test-perf bench bench-serve bench-smoke bench-regress bench-check bench-trace \
         regress lint lint-effects fuzz-smoke fuzz-selftest fuzz-crash \
         fuzz-faults fuzz-parallel fuzz-snapshots fuzz-serve \
         corpus-replay clean
@@ -57,6 +57,14 @@ bench-check:
 		out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 4 --trace 0) || { echo "bench-check: $$w exited non-zero"; exit 1; }; \
 		echo "$$out" | tail -n 1 | $(PYTHON) -c "import json, sys; d = json.loads(sys.stdin.read()); print('bench-check: $$w correct=%s failed=%s' % (d['correct'], d['failed'])); sys.exit(0 if d['correct'] is True else 1)" || exit 1; \
 	done
+
+## One traced perfbench run (per-layer shares and counts; the command
+## behind every per-layer number in EXPERIMENTS.md).  Fails on a
+## non-zero exit or "correct": false, like bench-check.
+WORKLOAD ?= serve-4k
+bench-trace:
+	@out=$$($(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed 1 --seconds 10 --trace 1) || { echo "bench-trace: $(WORKLOAD) exited non-zero"; exit 1; }; \
+	echo "$$out" | tail -n 1 | $(PYTHON) -c "import json, sys; line = sys.stdin.read(); d = json.loads(line); print(line.strip()); print('bench-trace: $(WORKLOAD) correct=%s failed=%s' % (d['correct'], d['failed'])); sys.exit(0 if d['correct'] is True else 1)"
 
 ## Regression gate against the committed baseline (exit 1 on >25%
 ## wall-clock regression or any simulated-cost drift; exit 3 on a

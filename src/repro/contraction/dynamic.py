@@ -136,8 +136,9 @@ class DynamicTreeContraction:
         contraction parse tree's current epoch: ``values()`` through it
         is the leaf-id sequence of PT at pin time, immune to later
         ``batch_grow``/``batch_prune`` churn (flat family pins in O(1)
-        via ``FlatSnapshot.materialize``; the reference backend
-        deep-captures at pin time)."""
+        via the transaction stack; the reference backend deep-captures
+        at pin time).  The parse tree keeps no summaries, so only the
+        structural reads apply."""
         return self.pt.pinned_reader(monoid=monoid)
 
     def query_values(

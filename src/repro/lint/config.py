@@ -586,6 +586,8 @@ EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
     # the tree mutations all happen below _apply_admitted, which gets
     # the full R201+R202 treatment, as does the quarantine prober (its
     # probes subscript the same columns the snapshot layer restores).
+    # read is the pinned-read path: deterministic, and it may write no
+    # slab column a snapshot could not restore (pinning joins the stack).
     + (
         EffectEntry(
             "src/repro/serve/shard.py", "Shard", "execute_window",
@@ -593,6 +595,7 @@ EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
         ),
         EffectEntry("src/repro/serve/shard.py", "Shard", "_apply_admitted"),
         EffectEntry("src/repro/serve/quarantine.py", "", "quarantine_bisect"),
+        EffectEntry("src/repro/serve/shard.py", "Shard", "read"),
     )
 )
 

@@ -80,9 +80,10 @@ NONDET_KINDS = frozenset({KIND_GLOBAL_RNG, KIND_TIME, KIND_SET_ITER})
 MUT_KINDS = frozenset({KIND_MUT_NODE, KIND_MUT_COL, KIND_MUT_OTHER})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Atom:
-    """One effect performed directly by a function body."""
+    """One effect performed directly by a function body (ordered, so
+    findings sort deterministically when one owner exposes several)."""
 
     kind: str
     detail: str

@@ -1273,10 +1273,11 @@ class FlatRBSTS:
         """Context manager yielding a
         :class:`~repro.snapshots.reader.PinnedReader` over the current
         version: an O(1) epoch pin joins the transaction stack, and
-        queries through the reader answer from the pinned version
-        (``FlatSnapshot.materialize``) while later mutations — and
-        their rollbacks — proceed on the live slab.  ``monoid`` enables
-        the fold reads (``prefix``/``range_fold``/``total``)."""
+        queries through the reader are O(depth) descents over the
+        pinned version (copy-on-write pre-images overlaid on the live
+        slab) while later mutations — and their rollbacks — proceed.
+        ``monoid`` (this tree's ``summarizer.monoid``) enables the fold
+        reads (``prefix``/``range_fold``/``total``)."""
         from ..snapshots.reader import pinned_reader
 
         return pinned_reader(self, monoid=monoid)

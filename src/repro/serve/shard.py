@@ -49,6 +49,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from ..errors import BatchValidationError, RetryExhaustedError
 from ..resilience.executor import ResiliencePolicy, ResilientListSession
 from ..resilience.faults import FaultPlan
+from ..snapshots.reader import PinnedReader
 from ..transactions import (
     validate_batch_delete,
     validate_batch_insert,
@@ -336,10 +337,11 @@ class Shard:
         """Answer a read from a pinned epoch.
 
         On tree rungs the query runs against
-        ``tree.pinned_reader(...)`` — an O(1) epoch pin materialized
-        via ``FlatSnapshot.materialize()`` on the flat family — so the
-        answer is a consistent cut even if a writer batch were open.
-        The sequential rung (plain list) is queried directly.
+        ``tree.pinned_reader(...)`` — an O(1) epoch pin on the flat
+        family, answered by an O(depth) descent over the pinned
+        version's leaf counts and summaries — so the answer is a
+        consistent cut even if a writer batch were open.  The
+        sequential rung (plain list) is queried directly.
         """
         if req.deadline is not None and req.deadline <= now:
             self.stats["timeouts"] += 1
@@ -387,16 +389,22 @@ class Shard:
             return st.total()
         if kind == "prefix":
             return st.prefix(args[0])
-        return st.range_fold(args[0], args[1])
+        # Folded here, not by a duck-typed ``st.range_fold``: that name
+        # also reaches IncrementalListPrefix.range_fold, whose activation
+        # marks would enter the read path's effect closure (R202).
+        return self.session.monoid.fold(st.items[args[0] : args[1] + 1])
 
-    def _read_pinned(self, kind: str, args: Tuple[Any, ...], reader: Any) -> Any:
+    def _read_pinned(
+        self, kind: str, args: Tuple[Any, ...], reader: PinnedReader
+    ) -> Any:
         if kind == "len":
             return len(reader)
         if kind == "total":
             return reader.total()
         if kind == "prefix":
             return reader.prefix(args[0])
-        return reader.range_fold(args[0], args[1])
+        # Through the class for the same reason as _read_sequential.
+        return PinnedReader.range_fold(reader, args[0], args[1])
 
     # -- internals ------------------------------------------------------
     @staticmethod

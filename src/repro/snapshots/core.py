@@ -316,8 +316,8 @@ class FlatSnapshot(Snapshot):
     Restore is re-armable (pre-images stay valid after a rewind — the
     rewound values ARE the pre-images), and :meth:`materialize` cuts a
     :class:`SnapshotState` of the *capture-epoch* state at any moment,
-    even mid-mutation — the MVCC read path: a reader materializes the
-    snapshot's version while the writer keeps mutating the live slab.
+    even mid-mutation (the persistence unit; pinned reads overlay
+    ``saved`` on the live slab lazily instead, :mod:`.reader`).
     """
 
     __slots__ = (
@@ -416,9 +416,8 @@ class FlatSnapshot(Snapshot):
         """Cut a :class:`SnapshotState` of the *capture-epoch* version:
         current columns truncated to the capture length with the COW
         pre-images overlaid, plus the reconstructed original free list.
-        Valid at any point while attached — this is how a persistence
-        checkpoint or a concurrent reader sees the snapshot's version
-        while the writer keeps mutating."""
+        Valid at any point while attached, so a persistence checkpoint
+        or ``PinnedReader.state()`` can cut while the writer mutates."""
         state = SnapshotState.capture(tree)
         n = self.snap_len
         cols = state.columns

@@ -1,55 +1,52 @@
 """Pinned-epoch readers over the MVCC snapshot layer (PR 10).
 
-The PR 8 snapshot layer left one read-path gap (ROADMAP item 5): a
-*writer* could rewind or persist a capture-epoch image, but a *reader*
-had no way to keep answering queries from a pinned version while a
-batch mutates the live structure.  :class:`PinnedReader` closes it:
+:class:`PinnedReader` answers queries from a pinned version while
+batches mutate the live structure.  ``len``, ``value_at``, ``prefix``,
+``range_fold`` and ``total`` are O(depth) descents over the pinned
+``_n_leaves``/``_summary`` columns (the sequential algorithm of §1.2):
+none copies the slab or walks the leaves.
 
 * **Flat family** (``FlatRBSTS`` / ``ParallelRBSTS``): pinning is O(1)
   — a :class:`_PinnedFlatSnapshot` joins the transaction stack and
-  observes copy-on-write pre-images through the journal seam; the
-  reader lazily cuts the capture-epoch image with
-  :meth:`~repro.snapshots.core.FlatSnapshot.materialize` on first
-  query and caches it (the capture-epoch version never changes, so one
-  cut is exact forever).
-* **Reference backend**: the pointer graph has no epoch trick, so the
-  reader deep-captures a :class:`~repro.snapshots.core.SnapshotState`
-  eagerly at pin time (O(n)) — same answers, different cost, and the
-  asymmetry is part of the API contract.
+  records copy-on-write pre-images through the journal seam.  From
+  the pinned root, a query reads slot ``i`` from ``saved[i]`` if it
+  was written since the pin, else from the live column.  Slots born
+  later are unreachable from that root and slots freed or reused are
+  in ``saved``, so the overlay stays exact while writers opened after
+  the pin mutate, commit or roll back.
+* **Reference backend**: no O(1) epoch pin exists, so the reader
+  deep-captures a :class:`~repro.snapshots.core.SnapshotState` at pin
+  time (O(n)) and runs the same descents over its columns.
 
-A pinned snapshot is deliberately **not** a rollback owner: the
-``pinned`` flag tells :func:`repro.transactions.execute_batch` to open
-its own genuine nested transaction instead of flattening into the
-reader (a reader must never absorb a writer's crash-rollback duty).
-Exits must nest: close the reader only when no writer transaction
-opened after it is still open (the stack raises
-:class:`~repro.errors.SnapshotStateError` otherwise).
+``values()`` and ``state()`` cut the whole image (``materialize`` on
+the flat family, cached); once cut, every query answers from it, so a
+reader materialized before ``close()`` keeps answering afterwards.
 
-Entry points: ``RBSTS.pinned_reader()`` / ``FlatRBSTS.pinned_reader()``
-(context managers; the parallel backend inherits the flat one) and
-``DynamicTreeContraction.pinned_reader()`` for the contraction parse
-tree.  ``repro.serve`` answers every read from one of these pins while
-writer windows commit.
+A pinned snapshot is **not** a rollback owner: the ``pinned`` flag
+tells :func:`repro.transactions.execute_batch` to open its own nested
+transaction instead of flattening into the reader.  Exits must nest:
+close the reader only when no writer transaction opened after it is
+still open (the stack raises :class:`~repro.errors.SnapshotStateError`
+otherwise).  Entry points: ``RBSTS.pinned_reader()`` /
+``FlatRBSTS.pinned_reader()`` (the parallel backend inherits the flat
+one) and ``DynamicTreeContraction.pinned_reader()``; ``repro.serve``
+answers every read from one of these pins.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..errors import InvalidParameterError, PositionError
-from .core import NIL, FlatSnapshot, SnapshotState, txn_begin, txn_commit
+from .core import FLAT_COLUMNS, NIL, FlatSnapshot, SnapshotState, txn_begin, txn_commit
 
 __all__ = ["PinnedReader", "pinned_reader"]
 
 
 class _PinnedFlatSnapshot(FlatSnapshot):
-    """A flat snapshot whose only job is observing for a reader.
-
-    ``pinned = True`` opts it out of the transaction-flattening
-    shortcut in :func:`repro.transactions._apply_txn`: writer batches
-    running while this pin is open keep their own rollback bracket.
-    """
+    """A flat snapshot that only observes for a reader (``pinned``:
+    writer batches under it keep their own rollback bracket)."""
 
     __slots__ = ()
 
@@ -57,20 +54,26 @@ class _PinnedFlatSnapshot(FlatSnapshot):
 
 
 class PinnedReader:
-    """Query surface over one pinned capture-epoch image.
+    """Query surface over one pinned capture-epoch version.
 
-    All answers — ``values()``, ``value_at``, ``prefix``, ``total``,
-    ``range_fold`` — come from the pinned version and are immune to
-    writer mutations (and writer rollbacks) that happen while the pin
-    is open.  Fold answers need a ``monoid``; structural reads do not.
+    Every answer comes from the pinned version and is immune to writer
+    mutations (and writer rollbacks) while the pin is open.  Folds
+    combine the tree's maintained leaf summaries, so they need the
+    tree's own summary monoid (``tree.summarizer.monoid``); structural
+    reads need no monoid.
     """
 
     def __init__(self, tree: Any, *, monoid: Any = None) -> None:
+        own = getattr(tree.summarizer, "monoid", None)  # None: no summaries
+        if monoid is not None and monoid is not own:
+            raise InvalidParameterError(
+                "fold reads combine the tree's maintained summaries: "
+                "monoid must be tree.summarizer.monoid"
+            )
         self._tree = tree
         self._monoid = monoid
         self._snap: Optional[_PinnedFlatSnapshot] = None
         self._state: Optional[SnapshotState] = None
-        self._leaves: Optional[List[int]] = None
         if hasattr(tree, "root_index"):
             self._snap = _PinnedFlatSnapshot(tree)
             txn_begin(tree, self._snap)
@@ -80,18 +83,15 @@ class PinnedReader:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Release the pin (flat family: pop the observing snapshot off
-        the transaction stack, keeping the writer's mutations).
-        Idempotent."""
+        """Release the pin, keeping the writer's mutations.  Idempotent."""
         if self._snap is not None:
             txn_commit(self._tree, self._snap)
             self._snap = None
 
-    # -- the pinned image ----------------------------------------------
+    # -- the pinned version ---------------------------------------------
     def state(self) -> SnapshotState:
-        """The materialized capture-epoch image (cut lazily on the flat
-        family, cached — the pinned version is immutable by
-        construction)."""
+        """The materialized capture-epoch image (cut on first call on
+        the flat family and cached — the pinned version is immutable)."""
         if self._state is None and self._snap is not None:
             self._state = self._snap.materialize(self._tree)
         if self._state is None:
@@ -101,85 +101,86 @@ class PinnedReader:
             )
         return self._state
 
-    @property
-    def epoch(self) -> int:
-        """Snapshot-epoch tag of the pinned image."""
-        return self.state().epoch
-
-    def _leaf_slots(self) -> List[int]:
-        if self._leaves is None:
+    def _columns(self, *names: str) -> Tuple[int, List[Callable[[int], Any]]]:
+        """The pinned root slot and one per-slot getter per column."""
+        snap = self._snap
+        if self._state is not None or snap is None:
             state = self.state()
-            left = state.columns["_left"]
-            right = state.columns["_right"]
-            out: List[int] = []
-            stack: List[int] = []
-            cur = state.root_index
-            while stack or cur != NIL:
-                while cur != NIL:
-                    stack.append(cur)
-                    cur = left[cur]
-                cur = stack.pop()
-                if left[cur] == NIL and right[cur] == NIL:
-                    out.append(cur)
-                cur = right[cur]
-            self._leaves = out
-        return self._leaves
+            return state.root_index, [state.columns[n].__getitem__ for n in names]
+        saved = snap.saved
+
+        def overlay(k: int, live: Any) -> Callable[[int], Any]:
+            return lambda i: saved[i][k] if i in saved else live[i]
+
+        return snap.root_index, [
+            overlay(FLAT_COLUMNS.index(n), getattr(self._tree, n)) for n in names
+        ]
 
     # -- structural reads ----------------------------------------------
     def __len__(self) -> int:
-        return len(self._leaf_slots())
+        root, (counts,) = self._columns("_n_leaves")
+        return counts(root)
 
     def values(self) -> List[Any]:
-        """Leaf items in sequence order, at the pinned epoch."""
-        items = self.state().columns["_item"]
-        return [items[s] for s in self._leaf_slots()]
+        """Leaf items in sequence order, at the pinned epoch (O(n))."""
+        state = self.state()
+        left, right, items = (state.columns[n] for n in ("_left", "_right", "_item"))
+        out: List[Any] = []
+        stack = [state.root_index]
+        while stack:
+            v = stack.pop()
+            if left[v] == NIL:
+                out.append(items[v])
+            else:
+                stack += (right[v], left[v])
+        return out
 
     def value_at(self, index: int) -> Any:
-        leaves = self._leaf_slots()
-        if not 0 <= index < len(leaves):
+        """Leaf item at ``index``: the one-leaf cover, an
+        order-statistic descent on ``_n_leaves``."""
+        return next(self._cover(index, index, "_item"))
+
+    def _cover(self, lo: int, hi: int, column: str) -> Iterator[Any]:
+        """``column`` at the O(depth) canonical subtrees tiling
+        positions ``[lo, hi]`` of the pinned version, left to right."""
+        root, (left, right, counts, get) = self._columns(
+            "_left", "_right", "_n_leaves", column
+        )
+        if not 0 <= lo <= hi < counts(root):
             raise PositionError(
-                f"pinned read position {index} out of range "
-                f"0..{len(leaves) - 1}"
+                f"pinned read range [{lo}, {hi}] out of range for "
+                f"{counts(root)} leaves"
             )
-        return self.state().columns["_item"][leaves[index]]
+        stack = [(root, lo, hi)]
+        while stack:  # the left part pops first
+            v, lo, hi = stack.pop()
+            if lo == 0 and hi == counts(v) - 1:
+                yield get(v)
+                continue
+            k = counts(left(v))
+            if hi >= k:
+                stack.append((right(v), max(lo - k, 0), hi - k))
+            if lo < k:
+                stack.append((left(v), lo, min(hi, k - 1)))
 
     # -- fold reads (monoid required) ----------------------------------
-    def _fold(self, lo: int, hi: int) -> Any:
+    def range_fold(self, i: int, j: int) -> Any:
+        """Fold of ``values()[i..j]`` (inclusive), pinned-epoch: the
+        summaries of the canonical subtrees, never leaf by leaf."""
         if self._monoid is None:
             raise InvalidParameterError(
                 "fold reads need a monoid: construct the reader with "
                 "pinned_reader(monoid=...)"
             )
-        leaves = self._leaf_slots()
-        if not (0 <= lo <= hi < len(leaves)):
-            raise PositionError(
-                f"pinned fold range [{lo}, {hi}] out of range for "
-                f"{len(leaves)} leaves"
-            )
-        items = self.state().columns["_item"]
-        acc = self._monoid.identity
-        for s in leaves[lo : hi + 1]:
-            acc = self._monoid.combine(acc, items[s])
-        return acc
+        return self._monoid.fold(self._cover(i, j, "_summary"))
 
     def prefix(self, index: int) -> Any:
         """Fold of ``values()[0..index]`` (inclusive), pinned-epoch."""
-        return self._fold(0, index)
-
-    def range_fold(self, i: int, j: int) -> Any:
-        """Fold of ``values()[i..j]`` (inclusive), pinned-epoch."""
-        return self._fold(i, j)
+        return self.range_fold(0, index)
 
     def total(self) -> Any:
-        """Fold of every value, pinned-epoch (identity when empty)."""
-        if self._monoid is None:
-            raise InvalidParameterError(
-                "fold reads need a monoid: construct the reader with "
-                "pinned_reader(monoid=...)"
-            )
-        if not self._leaf_slots():
-            return self._monoid.identity
-        return self._fold(0, len(self._leaf_slots()) - 1)
+        """Fold of every value, pinned-epoch."""
+        return self.range_fold(0, len(self) - 1)
 
 
 @contextmanager

@@ -808,8 +808,9 @@ class RBSTS:
         version: queries through it keep answering from this epoch
         while later mutations (and their rollbacks) proceed on the
         live tree.  The pointer-graph backend pays an O(n) deep capture
-        at pin time; the flat family pins in O(1).  ``monoid`` enables
-        the fold reads (``prefix``/``range_fold``/``total``)."""
+        at pin time; the flat family pins in O(1).  ``monoid`` (this
+        tree's ``summarizer.monoid``) enables the fold reads
+        (``prefix``/``range_fold``/``total``)."""
         from ..snapshots.reader import pinned_reader
 
         return pinned_reader(self, monoid=monoid)

@@ -250,6 +250,35 @@ def test_repo_config_registers_the_serve_paths():
         assert owner in r204 and r204[owner]
 
 
+def test_serve_read_entry_reports_every_column_write_of_one_owner():
+    report = _run_fixtures(
+        effect_entries=(
+            EffectEntry("serve_read_bad.py", "MiniReadShard", "read"),
+        )
+    )
+    hits = [
+        f for f in _by_rule(report, "R202") if f.path == "serve_read_bad.py"
+    ]
+    assert sorted(f.message.split()[1] for f in hits) == [
+        "mut-col:left",
+        "mut-col:parent",
+    ]
+    assert all("MiniReadShard.read" in f.message for f in hits)
+
+
+def test_repo_config_registers_the_pinned_read_path():
+    """Shard.read gets the full R201+R202 treatment: the pinned-read
+    closure is deterministic and writes no slab column outside a
+    snapshot seam (pinning itself only joins the transaction stack)."""
+    fids = {
+        (e.path, e.class_name, e.method, e.rules)
+        for e in REPO_CONFIG.effect_entries
+    }
+    assert (
+        "src/repro/serve/shard.py", "Shard", "read", ("R201", "R202")
+    ) in fids
+
+
 # ---------------------------------------------------------------------------
 # extraction & graph units
 # ---------------------------------------------------------------------------

@@ -257,3 +257,5 @@ def test_reads_work_on_every_rung():
         assert shard.session.rung == ladder[0]
         assert shard.read(req(0, "total"), 0.0).result == 18
         assert shard.read(req(1, "prefix", 1), 0.0).result == 11
+        assert shard.read(req(2, "range", 1, 2), 0.0).result == 13
+        assert shard.read(req(3, "len"), 0.0).result == 3
