@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-perf bench bench-serve bench-smoke bench-regress bench-check bench-trace \
+.PHONY: test test-perf bench bench-serve bench-smoke bench-regress bench-check bench-trace bench-pairs \
         regress lint lint-effects fuzz-smoke fuzz-selftest fuzz-crash \
         fuzz-faults fuzz-parallel fuzz-snapshots fuzz-serve \
         corpus-replay clean
@@ -65,6 +65,17 @@ WORKLOAD ?= serve-4k
 bench-trace:
 	@out=$$($(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed 1 --seconds 10 --trace 1) || { echo "bench-trace: $(WORKLOAD) exited non-zero"; exit 1; }; \
 	echo "$$out" | tail -n 1 | $(PYTHON) -c "import json, sys; line = sys.stdin.read(); d = json.loads(line); print(line.strip()); print('bench-trace: $(WORKLOAD) correct=%s failed=%s' % (d['correct'], d['failed'])); sys.exit(0 if d['correct'] is True else 1)"
+
+## Alternating base/change pairs of one perfbench workload, untraced:
+## BASE is checked out into a temporary git worktree (removed on exit)
+## and compared against the working tree; prints per-metric medians,
+## quartiles, the change/base ratio and the win count.  The command
+## behind the parent/change pairs in EXPERIMENTS.md from E18 on.
+BASE ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 30
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(SECONDS)
 
 ## Regression gate against the committed baseline (exit 1 on >25%
 ## wall-clock regression or any simulated-cost drift; exit 3 on a

@@ -16,10 +16,11 @@ cores.  This package holds those cores:
   :class:`~repro.listprefix.structure.IncrementalListPrefix`.
 * :mod:`~repro.perf.flat_contraction` — ``FlatContraction``, the rake
   tree of §4.2 over parallel label/topology columns with memoised
-  replay; selected via ``DynamicTreeContraction(tree, backend="flat")``.
-* :mod:`~repro.perf.kernels` — per-level label kernels (NumPy-vectorized
-  over numeric rings, pure-Python otherwise; ``REPRO_KERNELS`` forces a
-  mode).
+  replay; heal and replay evaluate labels in one pass in creation
+  order.  Selected via ``DynamicTreeContraction(tree, backend="flat")``.
+* :mod:`~repro.perf.kernels` — affine label kernels behind the §3
+  prefix scan (NumPy-vectorized over numeric rings, pure-Python
+  otherwise; ``REPRO_KERNELS`` forces a mode).
 * :mod:`~repro.perf.parallel` — true multicore execution
   (``backend="parallel"``): shared-memory slab columns
   (``multiprocessing.shared_memory``), a persistent spawn-context

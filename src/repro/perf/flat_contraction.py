@@ -18,12 +18,13 @@ Replay is two-phase.  Phase 1 walks the schedule and settles *only
 topology*: reuse checks are integer column compares (row ids stand in
 for the reference's object identity — safe because the mark-sweep
 collector below never frees a row the previous replay's records can
-still name).  Phase 2 evaluates the labels of the fresh rows
-level-batched through :mod:`~repro.perf.kernels`, so per-node Python
-tuple math becomes a few array operations per DAG level.  Label pairs
-live interned in the slab across replays: a reused event re-reads its
-old rows instead of re-allocating, which is what makes the memoised
-path allocation-free.
+still name).  Phase 2 evaluates the labels of the fresh rows in one
+pass in creation order: ``_rid`` is a topological stamp (every
+composite row is stamped after both of its children), so one loop over
+the rows applies each label rule inline from settled inputs, with no
+per-row node objects or tuples.  Label pairs live interned in the slab
+across replays: a reused event re-reads its old rows instead of
+re-allocating, which is what makes the memoised path allocation-free.
 
 Rows no replay can reach any more are reclaimed by an occasional
 mark-sweep over the slab (roots: current base rows, current event
@@ -35,7 +36,7 @@ The public surface mirrors :class:`RakeTrace`'s trace protocol
 ``heal`` / ``death_record`` / ``removal_kind``) and is pinned by lint
 rule R003 (``contraction-trace`` pair) plus the differential fuzzer:
 identical values, rounds, wound sizes and fresh-node counts as the
-reference backend, on either kernel path.
+reference backend.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from ..errors import TreeStructureError
 from ..pram.frames import SpanTracker
 from ..trees.expr import ExprTree
 from ..trees.nodes import Op
-from .kernels import PythonKernels, select_kernels
 
 __all__ = ["FlatContraction"]
 
@@ -203,8 +203,10 @@ class FlatContraction:
         self, tokens: List[int], tracker: Optional[SpanTracker] = None
     ) -> int:
         """Recompute ``RT(W)`` — every row on a path from a dirty token
-        to the RT root — level-batched through the kernels.  Returns
-        the wound size ``|RT(W)|``; charges the Theorem 4.2 cost."""
+        to the RT root — in one pass in ascending ``_rid`` order.  The
+        tracker is charged the Theorem 4.2 level-by-level PRAM cost;
+        on one CPU any topological order yields the same labels.
+        Returns the wound size ``|RT(W)|``."""
         rparent = self._rparent
         seen: Dict[int, bool] = {}
         for row in tokens:
@@ -212,7 +214,7 @@ class FlatContraction:
                 seen[row] = True
                 row = rparent[row]
         wound = sorted(seen, key=self._rid.__getitem__)
-        self._eval_rows(wound, select_kernels(self.ring))
+        self._relabel(wound)
         if tracker is not None:
             k = len(wound) + 1
             tracker.charge(
@@ -559,83 +561,41 @@ class FlatContraction:
         self._rparent[root] = -1
         self.next_rid = next_rid
         self.fresh_nodes = fresh
-        if fresh_rows:
-            self._eval_rows(fresh_rows, select_kernels(tree.ring))
+        self._relabel(fresh_rows)
         in_use = len(self._kind) - len(self._free)
         if in_use > _GC_FACTOR * max(64, tree._next_id):
             self._sweep()
 
-    def _eval_rows(self, rows: List[int], kernels: PythonKernels) -> None:
-        """Evaluate composite rows (given in topological order)
-        level-batched: rows whose inputs are all settled share a level
-        and go through one kernel call per op family."""
+    def _relabel(self, rows: List[int]) -> None:
+        """Evaluate the composite rows of ``rows`` in one pass; base
+        rows carry their labels already and are skipped.  ``rows`` must
+        be in ascending ``_rid`` order: every composite row is stamped
+        after both of its children, so its inputs are settled when it
+        is reached.  Each rule keeps the exact operation order of
+        :mod:`~repro.contraction.labels`, so float labels match the
+        reference bitwise."""
         kind, lch, rch = self._kind, self._lchild, self._rchild
         labA, labB, ops_col = self._labA, self._labB, self._op
-        # Rows outside ``rows`` are settled inputs: level 0.
-        lvl = [0] * len(kind)
-        levels: List[List[int]] = []
+        add, mul = self.ring.add, self.ring.mul
         for row in rows:
-            if kind[row] < _RAKE:
-                continue  # base rows carry their labels already
-            a = lvl[lch[row]]
-            b = lvl[rch[row]]
-            v = (a if a > b else b) + 1
-            lvl[row] = v
-            if v > len(levels):
-                levels.append([])
-            levels[v - 1].append(row)
-        for batch in levels:
-            add_rows: List[int] = []
-            addc_rows: List[int] = []
-            mul_rows: List[int] = []
-            cmp_rows: List[int] = []
-            for row in batch:
-                if kind[row] == _COMPRESS:
-                    cmp_rows.append(row)
+            k = kind[row]
+            if k == _COMPRESS:
+                l, r = lch[row], rch[row]
+                a = labA[l]
+                labA[row] = mul(a, labA[r])
+                labB[row] = add(mul(a, labB[r]), labB[l])
+            elif k == _RAKE:
+                r = rch[row]
+                b, c = labB[lch[row]], labA[r]
+                op = ops_col[row]
+                if op.kind == "add":
+                    if op.const is not None:
+                        b = add(b, op.const)
+                    labA[row] = c
+                    labB[row] = add(mul(c, b), labB[r])
                 else:
-                    op = ops_col[row]
-                    if op.kind == "add":
-                        (addc_rows if op.const is not None else add_rows).append(row)
-                    else:
-                        mul_rows.append(row)
-            if add_rows:
-                na, nb = kernels.rake_add(
-                    [labB[lch[r]] for r in add_rows],
-                    [labA[rch[r]] for r in add_rows],
-                    [labB[rch[r]] for r in add_rows],
-                )
-                for r, x, y in zip(add_rows, na, nb):
-                    labA[r] = x
-                    labB[r] = y
-            if addc_rows:
-                na, nb = kernels.rake_add(
-                    [labB[lch[r]] for r in addc_rows],
-                    [labA[rch[r]] for r in addc_rows],
-                    [labB[rch[r]] for r in addc_rows],
-                    [ops_col[r].const for r in addc_rows],
-                )
-                for r, x, y in zip(addc_rows, na, nb):
-                    labA[r] = x
-                    labB[r] = y
-            if mul_rows:
-                na, nb = kernels.rake_mul(
-                    [labB[lch[r]] for r in mul_rows],
-                    [labA[rch[r]] for r in mul_rows],
-                    [labB[rch[r]] for r in mul_rows],
-                )
-                for r, x, y in zip(mul_rows, na, nb):
-                    labA[r] = x
-                    labB[r] = y
-            if cmp_rows:
-                na, nb = kernels.compress(
-                    [labA[lch[r]] for r in cmp_rows],
-                    [labB[lch[r]] for r in cmp_rows],
-                    [labA[rch[r]] for r in cmp_rows],
-                    [labB[rch[r]] for r in cmp_rows],
-                )
-                for r, x, y in zip(cmp_rows, na, nb):
-                    labA[r] = x
-                    labB[r] = y
+                    labA[row] = mul(c, b)
+                    labB[row] = labB[r]
 
     def _sweep(self) -> None:
         """Mark-sweep the slab: rows unreachable from the current

@@ -1,12 +1,13 @@
-"""Per-level label kernels for the flat contraction backend.
+"""Column kernels for the affine label rules of §4.2.
 
-The rake-tree replay of §4.2 evaluates every *fresh* label with one of
-three affine rules (labels.py): rake-add ``(C, C·(B+c) + D)``, rake-mul
-``(C·B, D)``, and compress ``(A·C, A·D + B)``.  The flat backend
-(:mod:`~repro.perf.flat_contraction`) batches fresh rake-tree rows by
-DAG level and hands each level's operand columns to the kernels here,
-so label arithmetic runs as a handful of array operations per level
-instead of one Python call per node.
+The three rules of :mod:`~repro.contraction.labels` — rake-add
+``(C, C·(B+c) + D)``, rake-mul ``(C·B, D)`` and compress
+``(A·C, A·D + B)`` — applied across parallel operand columns.  The §3
+list-prefix scan (:func:`prefix_compose`) runs its doubling strides
+through :meth:`PythonKernels.compress`.  The flat contraction evaluates
+rake-tree labels in one scalar pass of its own
+(:mod:`~repro.perf.flat_contraction`); the parallel backend's cached
+heal levels mirror the NumPy expressions here.
 
 Two interchangeable kernel sets:
 
@@ -72,7 +73,7 @@ INT64_SAFE_MAGNITUDE = 1 << 30
 #: ``[0, p)`` so products stay below ``p**2 < 2**62``.
 MAX_VECTOR_MODULUS = 1 << 31
 
-#: Levels smaller than this take the scalar path even under
+#: Columns shorter than this take the scalar path even under
 #: :class:`NumpyKernels`: array setup costs more than the loop, and the
 #: two paths are exact so the answer cannot depend on the choice.
 SCALAR_CUTOFF = 48
@@ -215,11 +216,11 @@ class PythonKernels:
 
 
 class NumpyKernels(PythonKernels):
-    """NumPy per-level kernels over an exact :class:`VectorRing`.
+    """NumPy column kernels over an exact :class:`VectorRing`.
 
-    Any level whose operands cannot be represented exactly (int64
+    Any call whose operands cannot be represented exactly (int64
     overflow on conversion, or magnitudes beyond the guard bound)
-    silently delegates to the inherited Python path for *that level
+    silently delegates to the inherited Python path for *that call
     only* — so answers never depend on which kernel set is selected.
     """
 

@@ -25,8 +25,8 @@ Exactness: before evaluating a level the gathered operands are checked
 against the same magnitude bound as
 :class:`~repro.perf.kernels.NumpyKernels` (``Z``) or the residue range
 (``Z/p``); sentinels of boxed/``None`` cells sit far outside both, so
-any heal touching a boxed label falls back to the inherited list-
-protocol evaluation, which reads exact Python values.  Every fallback
+any heal touching a boxed label falls back to the inherited single
+pass, which reads exact Python values.  Every fallback
 recomputes from level-0 inputs (rows *outside* the wound), so a
 partially-evaluated fast path is always safely recomputable.  Answers
 are therefore bit-for-bit the flat backend's on every ring.
@@ -41,7 +41,6 @@ from ...algebra.rings import Ring
 from ...pram.frames import SpanTracker
 from ...trees.nodes import Op
 from ..flat_contraction import _COMPRESS, _RAKE, FlatContraction
-from ..kernels import select_kernels
 from .engine import ParallelEngine
 from .rbsts import default_workers, exact_vector_ring
 from .slab import SlabColumn
@@ -128,7 +127,7 @@ class ParallelContraction(FlatContraction):
             # Operands out of vector range (or boxed): ground truth.
             # Recomputation is safe — every level's ultimate inputs are
             # rows outside the wound, untouched by the fast attempt.
-            self._eval_rows(wound, select_kernels(self.ring))
+            self._relabel(wound)
         if tracker is not None:
             k = len(wound) + 1
             tracker.charge(

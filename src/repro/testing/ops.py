@@ -53,10 +53,10 @@ __all__ = [
 SCHEMA = "repro-fuzz-corpus/1"
 
 #: Rings the fuzzer drives (hypothesis covers the exotic ones).
-#: ``boolean`` is non-numeric on purpose: it forces the flat
-#: contraction backend onto the pure-python kernel path (see
-#: ``repro.perf.kernels.select_kernels``), keeping that fallback pinned
-#: by corpus replay.
+#: ``boolean`` is non-numeric on purpose: its ``add``/``mul`` are
+#: ``or``/``and`` with no NumPy mapping (see
+#: ``repro.perf.kernels.vector_ring_for``), so corpus replay keeps the
+#: label rules pinned on a ring that is not array arithmetic.
 FUZZ_RINGS: Dict[str, Ring] = {
     "integer": INTEGER,
     "mod97": modular_ring(97),

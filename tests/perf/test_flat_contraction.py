@@ -303,3 +303,113 @@ def test_slab_stays_bounded_under_churn():
         in_use = len(trace._kind) - len(trace._free)
         assert in_use <= _GC_FACTOR * max(64, tree._next_id)
     flat.check_consistency()
+
+
+# ---------------------------------------------------------------------------
+# single-pass evaluation: wide wounds and the creation-order invariant
+# ---------------------------------------------------------------------------
+
+
+def _wide_values(ring):
+    if ring is FLOAT:
+        return lambda r: round(r.uniform(-1.0, 1.0), 6)
+    if ring is BOOLEAN:
+        return lambda r: r.random() < 0.5
+    return lambda r: r.randint(0, 96)
+
+
+def _wide_ops(values):
+    """Mixed ``+``/``×`` ops, half the additions with a constant, so
+    every rake rule (with and without a constant) is exercised."""
+
+    def ops(r):
+        if r.random() < 0.3:
+            return mul_op()
+        return add_op(values(r) if r.random() < 0.5 else None)
+
+    return ops
+
+
+def assert_same_labels(ref, flat, m):
+    """Every position's death record (labels included) and the value,
+    compared as ``repr`` text so float labels match bitwise."""
+    assert repr(flat.value()) == repr(ref.value())
+    for pid in range(m):
+        r_rec = repr(ref.trace.death_record(pid))
+        assert repr(flat.trace.death_record(pid)) == r_rec, pid
+
+
+@pytest.mark.parametrize(
+    "ring", [FLOAT, BOOLEAN, MOD97], ids=lambda r: r.name
+)
+def test_wide_wound_matches_reference(ring):
+    """A virgin build of 2**12 leaves (every composite row fresh) and a
+    heal of every leaf agree with the reference backend label for
+    label."""
+    values = _wide_values(ring)
+    ops = _wide_ops(values)
+    t_ref = random_tree(ring, 1 << 12, random.Random(3), values, ops)
+    t_flat = random_tree(ring, 1 << 12, random.Random(3), values, ops)
+    ref = DynamicTreeContraction(t_ref, seed=4)
+    flat = DynamicTreeContraction(t_flat, seed=4, backend="flat")
+    m = t_ref._next_id
+    assert_same_labels(ref, flat, m)
+    assert_twins(ref, flat)
+
+    rnd = random.Random(5)
+    reqs = [(leaf.nid, values(rnd)) for leaf in t_ref.leaves_in_order()]
+    tr_r, tr_f = SpanTracker(), SpanTracker()
+    ref.batch_set_leaf_values(reqs, tr_r)
+    flat.batch_set_leaf_values(reqs, tr_f)
+    assert (tr_r.work, tr_r.span) == (tr_f.work, tr_f.span)
+    # Every row but the n - 1 internal nodes' init rows is wounded.
+    assert flat.last_stats["wound"] == flat.trace.size() - (len(reqs) - 1)
+    assert_same_labels(ref, flat, m)
+    assert_twins(ref, flat)
+
+
+def test_rid_is_topological_under_churn(monkeypatch):
+    """The single pass evaluates rows in ascending ``_rid`` order, so
+    every live composite row must be stamped after both children —
+    also after sweeps and free-list reuse have recycled rows."""
+    from repro.perf import flat_contraction as fc
+
+    sweeps = []
+    real_sweep = fc.FlatContraction._sweep
+
+    def counting_sweep(self):
+        sweeps.append(len(self._kind))
+        real_sweep(self)
+
+    monkeypatch.setattr(fc.FlatContraction, "_sweep", counting_sweep)
+    rnd = random.Random(11)
+    tree = random_expression_tree(INTEGER, 48, seed=11)
+    flat = DynamicTreeContraction(tree, seed=12, backend="flat")
+    trace = flat.trace
+    reused = 0
+    for _ in range(120):
+        leaves = [l.nid for l in tree.leaves_in_order()]
+        grow = sorted(rnd.sample(leaves, 4))
+        free_before = len(trace._free)
+        flat.batch_grow([(nid, random_ops(rnd), 1, 2) for nid in grow])
+        reused += free_before > len(trace._free)
+        cands = [
+            n.nid
+            for n in tree.nodes_preorder()
+            if not n.is_leaf and n.left.is_leaf and n.right.is_leaf
+        ]
+        prune = sorted(rnd.sample(cands, min(4, len(cands))))
+        free_before = len(trace._free)
+        flat.batch_prune([(nid, rnd.randint(-4, 4)) for nid in prune])
+        reused += free_before > len(trace._free)
+        kind, rid = trace._kind, trace._rid
+        lch, rch = trace._lchild, trace._rchild
+        for row in range(len(kind)):
+            if trace._is_free[row] or kind[row] < fc._RAKE:
+                continue
+            assert rid[row] > rid[lch[row]], row
+            assert rid[row] > rid[rch[row]], row
+        assert flat.value() == tree.evaluate()
+    assert len(sweeps) >= 2
+    assert reused >= 2
+    flat.check_consistency()
