@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-perf bench bench-serve bench-smoke bench-regress bench-check bench-trace bench-pairs \
         regress lint lint-effects fuzz-smoke fuzz-selftest fuzz-crash \
-        fuzz-faults fuzz-parallel fuzz-snapshots fuzz-serve \
+        fuzz-faults fuzz-snapshots fuzz-serve \
         corpus-replay clean
 
 ## Tier-1 suite (the reproduction contract).
@@ -37,10 +37,9 @@ bench-smoke:
 	$(PYTHON) benchmarks/regress.py --baseline /tmp/bench_smoke.json --quick --threshold 10.0
 	$(PYTHON) -c "import json; d=json.load(open('BENCH_PR7.json')); assert d['schema']=='repro-perf-harness/1' and d['cells'], 'bad baseline'; print('BENCH_PR7.json ok:', len(d['cells']), 'cells')"
 
-## Speedup-gate subset: re-run only the gated E4/E5/E6/E14 full-size
-## cells and fail if any gated ratio (flat over reference; parallel-w4
-## over flat for E14) drops below its regress.MIN_SPEEDUPS floor.  Each
-## ratio is two same-machine timings,
+## Speedup-gate subset: re-run only the gated E4/E5/E6 full-size
+## cells and fail if any gated flat-over-reference ratio drops below its
+## regress.MIN_SPEEDUPS floor.  Each ratio is two same-machine timings,
 ## so it needs no baseline normalisation; the wall-clock threshold is
 ## loosened accordingly (CI machines vary, ratios don't).
 bench-regress:
@@ -85,7 +84,7 @@ regress:
 
 ## Static invariants: the repro.lint rule suite (R001-R005 +
 ## the R101-R103 PRAM race detector) over src/repro, then the
-## interprocedural effect pass (R201-R204), then strict mypy on the
+## interprocedural effect pass (R201, R202, R204), then strict mypy on the
 ## typed core when mypy is importable (the CI lint job installs it;
 ## local runs without mypy skip that half with a notice).
 lint:
@@ -108,17 +107,6 @@ lint-effects:
 fuzz-smoke:
 	@for s in 0 1 2; do \
 		$(PYTHON) -m repro.testing.fuzz --seed $$s --ops 2000 --backend both --no-save || exit 1; \
-	done
-
-## Shared-memory differential fuzz (the PR 7 CI load): bounded seeds
-## on backend="parallel" with a 2-worker pool and every eligible round
-## forced through real worker IPC (REPRO_PARALLEL_OFFLOAD=force, so
-## small fuzz-sized rounds can't silently take the inline shortcut).
-## Exit 0 means the pool-executed rounds audited bit-for-bit clean.
-fuzz-parallel:
-	@for s in 0 1 2; do \
-		REPRO_PARALLEL_WORKERS=2 REPRO_PARALLEL_OFFLOAD=force \
-		$(PYTHON) -m repro.testing.fuzz --seed $$s --ops 1000 --backend parallel --no-save || exit 1; \
 	done
 
 ## Prove the fuzzer finds planted bugs and shrinks them (<= 12 ops).

@@ -42,15 +42,15 @@ from datetime import datetime, timezone
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.algebra.monoid import sum_monoid
-from repro.algebra.rings import INTEGER, modular_ring
+from repro.algebra.rings import INTEGER
 from repro.contraction.dynamic import DynamicTreeContraction
 from repro.listprefix.structure import IncrementalListPrefix
 from repro.pram.frames import SpanTracker
 from repro.resilience.executor import ResiliencePolicy, ResilientListSession
 from repro.splitting.activation import activate, deactivate
 from repro.splitting.rbsts import RBSTS
-from repro.trees.builders import random_expression_tree, random_tree
-from repro.trees.nodes import add_op, mul_op
+from repro.trees.builders import random_expression_tree
+from repro.trees.nodes import add_op
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_PR7.json")
@@ -65,18 +65,7 @@ PROFILE_TOP = 20
 E4_GATE = {"n": 1 << 16, "u": 64}
 E5_GATE = {"n": 1 << 13, "u": 64}
 E6_GATE = {"n": 1 << 11, "u": 32}
-# E14 is the multicore cell: ``u`` is the number of *timed* full-leaf
-# value rounds, and its gate ratio is parallel-over-flat (not
-# flat-over-reference) — regress.py special-cases it.
-E14_GATE = {"n": 1 << 13, "u": 4}
-GATE_CELLS = {"E4": E4_GATE, "E5": E5_GATE, "E6": E6_GATE, "E14": E14_GATE}
-
-#: Worker-pool sizes swept by the E14 scaling cell.
-E14_WORKERS = (1, 2, 4, 8)
-#: E14 runs over Z/p so every label stays in [0, p): the vectorized
-#: fast path is always eligible and the cell measures execution, not
-#: guard-fallback luck.
-E14_MODULUS = 1_000_003
+GATE_CELLS = {"E4": E4_GATE, "E5": E5_GATE, "E6": E6_GATE}
 
 
 # ----------------------------------------------------------------------
@@ -238,58 +227,6 @@ def cell_r1(backend: str, seed: int, n: int, u: int) -> Tuple[float, Dict, float
     return supervised_s, sim, bare_s
 
 
-def cell_e14(variant, seed: int, n: int, rounds: int) -> Tuple[float, Dict]:
-    """E14 — true multicore contraction rounds: steady-state full-leaf
-    value batches on ``backend="flat"`` vs ``backend="parallel"`` at a
-    sweep of worker counts (``variant`` is ``"flat"`` or the pool
-    size).  Construction, pool spawn and the first (schedule-building)
-    round are excluded from the timing — the gated quantity is the
-    per-round cost once the slab-resident heal schedule is warm, which
-    is what a long-running dynamic workload pays.  Update values are a
-    pure function of ``(leaf, round, seed)``, so the simulated costs
-    and the final root value are bit-identical across every variant
-    (the run aborts otherwise)."""
-    p = E14_MODULUS
-    ring = modular_ring(p)
-    rng = random.Random(seed + n)
-    tree = random_tree(
-        ring,
-        n,
-        rng,
-        values=lambda r: r.randrange(p),
-        ops=lambda r: mul_op() if r.random() < 0.3 else add_op(),
-    )
-    if variant == "flat":
-        engine = DynamicTreeContraction(tree, seed=seed + n + 1, backend="flat")
-    else:
-        engine = DynamicTreeContraction(
-            tree, seed=seed + n + 1, backend="parallel", workers=variant
-        )
-    leaves = sorted(l.nid for l in tree.leaves_in_order())
-    warm = [(nid, (nid * 5 + seed) % p) for nid in leaves]
-    engine.batch_set_leaf_values(warm, SpanTracker())
-    gc.collect()
-    t0 = time.perf_counter()
-    work = span = 0
-    for r in range(rounds):
-        ups = [(nid, (nid * 7 + 31 * r + seed) % p) for nid in leaves]
-        tv = SpanTracker()
-        engine.batch_set_leaf_values(ups, tv)
-        work += tv.work
-        span += tv.span
-    dt = time.perf_counter() - t0
-    value = engine.value()
-    wound = engine.last_stats["wound"]
-    if variant != "flat":
-        engine.trace.close()
-    return dt, {
-        "value_work": work,
-        "value_span": span,
-        "value_wound": wound,
-        "value_checksum": int(value) % 1_000_003,
-    }
-
-
 KERNELS: Dict[str, Callable[..., Tuple[float, Dict]]] = {
     "E1": cell_e1,
     "E4": cell_e4,
@@ -308,7 +245,6 @@ def grid(quick: bool) -> List[Dict[str, Any]]:
         {"experiment": "E5", **E5_GATE},
         {"experiment": "E6", **E6_GATE},
         {"experiment": "R1", "n": 1 << 13, "u": 256},
-        {"experiment": "E14", **E14_GATE},
     ]
     if quick:
         cells = [
@@ -317,7 +253,6 @@ def grid(quick: bool) -> List[Dict[str, Any]]:
             {"experiment": "E5", "n": 1 << 10, "u": 16},
             {"experiment": "E6", "n": 1 << 9, "u": 8},
             {"experiment": "R1", "n": 1 << 10, "u": 64},
-            {"experiment": "E14", "n": 1 << 10, "u": 2},
         ]
     return cells
 
@@ -434,64 +369,6 @@ def _run_cell_r1(
     return entry
 
 
-def _run_cell_e14(spec: Dict[str, Any], profile: bool = False) -> List[Dict[str, Any]]:
-    """The multicore scaling cell: one entry for ``flat`` plus one per
-    ``parallel-w<k>`` worker count, all over the identical seeded
-    workload.  Simulated costs must agree across every variant (same
-    wounds, same span charges — the parallel backend is a bit-for-bit
-    twin), which is asserted before returning."""
-    n, rounds = spec["n"], spec["u"]
-    variants: List[Tuple[str, Any]] = [("flat", "flat")]
-    variants.extend((f"parallel-w{w}", w) for w in E14_WORKERS)
-    entries: List[Dict[str, Any]] = []
-    baseline_sim: Dict[str, Any] = {}
-    for label, variant in variants:
-        prof = cProfile.Profile() if profile else None
-        if prof is not None:
-            prof.enable()
-        best = float("inf")
-        simulated: Dict[str, Any] = {}
-        for _ in range(REPEATS):
-            total = 0.0
-            sim_acc: Dict[str, Any] = {}
-            for seed in SEEDS:
-                dt, sim = cell_e14(variant, seed, n, rounds)
-                total += dt
-                for k, v in sim.items():
-                    sim_acc[k] = sim_acc.get(k, 0) + v
-            best = min(best, total)
-            if simulated and simulated != sim_acc:
-                raise RuntimeError(
-                    f"non-deterministic simulated costs in E14 ({label}): "
-                    f"{simulated} != {sim_acc}"
-                )
-            simulated = sim_acc
-        if prof is not None:
-            prof.disable()
-        if not baseline_sim:
-            baseline_sim = simulated
-        elif simulated != baseline_sim:
-            raise RuntimeError(
-                f"backend parity violated in E14 ({label}): "
-                f"{baseline_sim} != {simulated}"
-            )
-        entry = {
-            "experiment": "E14",
-            "cell": {"n": n, "u": rounds, "seeds": list(SEEDS)},
-            "backend": label,
-            "wall_clock_s": round(best, 6),
-            "simulated": simulated,
-        }
-        if prof is not None:
-            entry["profile"] = _top_profile(prof)
-        entries.append(entry)
-        print(
-            f"E14 n={n:<6} u={rounds:<3} {label:>11}: {entry['wall_clock_s']:.4f}s",
-            file=sys.stderr,
-        )
-    return entries
-
-
 def run(
     quick: bool = False, profile: bool = False, cells: str = "all"
 ) -> Dict[str, Any]:
@@ -507,9 +384,6 @@ def run(
         raise ValueError(f"unknown cells mode {cells!r}")
     entries: List[Dict[str, Any]] = []
     for spec in specs:
-        if spec["experiment"] == "E14":
-            entries.extend(_run_cell_e14(spec, profile))
-            continue
         per_backend: Dict[str, Dict[str, Any]] = {}
         for backend in BACKENDS:
             entry = run_cell(spec, backend, profile)
@@ -535,24 +409,8 @@ def run(
             if e["experiment"] == exp and e["cell"]["n"] == n and e["cell"]["u"] == u
         }
         if "reference" not in pick or "flat" not in pick:
-            return None  # cell absent, or not a reference/flat cell (E14)
+            return None  # cell absent from this run's subset
         return round(pick["reference"] / pick["flat"], 3)
-
-    def e14_scaling() -> Dict[str, float | None]:
-        pick = {
-            e["backend"]: e["wall_clock_s"]
-            for e in entries
-            if e["experiment"] == "E14"
-        }
-        flat = pick.get("flat")
-        return {
-            label: (
-                None
-                if flat is None or pick.get(label) is None
-                else round(flat / pick[label], 3)
-            )
-            for label in [f"parallel-w{w}" for w in E14_WORKERS]
-        }
 
     summary = {
         "gate_cells": GATE_CELLS,
@@ -566,12 +424,6 @@ def run(
         "e6_speedup_flat_over_reference": (
             None if quick else speedup("E6", E6_GATE["n"], E6_GATE["u"])
         ),
-        # The E14 gate: parallel worker-pool wall-clock over flat on the
-        # same machine (self-normalising, like the other gate ratios).
-        "e14_speedup_parallel_over_flat": (
-            None if quick else e14_scaling().get("parallel-w4")
-        ),
-        "e14_scaling_over_flat": e14_scaling(),
         "speedups_flat_over_reference": {
             f"{s['experiment']}_n{s['n']}_u{s['u']}": speedup(
                 s["experiment"], s["n"], s["u"]
@@ -612,14 +464,6 @@ def main(argv: List[str] | None = None) -> int:
     s = report["summary"]
     print(f"wrote {args.out}", file=sys.stderr)
     for exp in sorted(GATE_CELLS):
-        if exp == "E14":
-            val = s["e14_speedup_parallel_over_flat"]
-            if val is not None:
-                print(
-                    f"E14 gate cell speedup (parallel-w4 over flat): {val}x",
-                    file=sys.stderr,
-                )
-            continue
         val = s[f"{exp.lower()}_speedup_flat_over_reference"]
         if val is not None:
             print(

@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the interprocedural effect/determinism pass "
-            "(R201-R204) instead of the per-file rules; emits "
+            "(R201, R202, R204) instead of the per-file rules; emits "
             "repro-effects/1 with --json"
         ),
     )

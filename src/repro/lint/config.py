@@ -39,11 +39,7 @@ class ParityPair:
     ``allow_extra_flat``/``allow_extra_ref`` name members that may exist
     on one side only (each with a justification in ``notes``).
     ``param_renames`` maps reference-side parameter names to their
-    accepted flat-side spelling.  ``flat_base`` — a ``(path, symbol)``
-    of the flat class's base — merges the base's public members into
-    the flat surface before diffing, so a subclass backend (e.g. the
-    parallel backend subclassing the flat one) is compared by its
-    *effective* surface, not just the overrides its own body declares.
+    accepted flat-side spelling.
     """
 
     name: str
@@ -55,7 +51,6 @@ class ParityPair:
     allow_extra_ref: FrozenSet[str] = frozenset()
     allow_extra_flat: FrozenSet[str] = frozenset()
     param_renames: Mapping[str, str] = field(default_factory=dict)
-    flat_base: Optional[Tuple[str, str]] = None
     notes: str = ""
 
 
@@ -134,40 +129,6 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         notes=(
             "the reference walks from a node, the flat twin from the "
             "tree (slots need the column arrays)."
-        ),
-    ),
-    ParityPair(
-        name="parallel-rbsts",
-        kind="class",
-        ref_path="src/repro/perf/flat_rbsts.py",
-        ref_symbol="FlatRBSTS",
-        flat_path="src/repro/perf/parallel/rbsts.py",
-        flat_symbol="ParallelRBSTS",
-        flat_base=("src/repro/perf/flat_rbsts.py", "FlatRBSTS"),
-        allow_extra_flat=frozenset({"close", "engine"}),
-        notes=(
-            "backend='parallel' must stay a drop-in twin of the flat "
-            "surface it subclasses (the differential rig replays one "
-            "op stream on both); close() releases the shared-memory "
-            "slabs and engine is the attached worker-pool engine — "
-            "neither has a single-process analogue."
-        ),
-    ),
-    ParityPair(
-        name="parallel-contraction",
-        kind="class",
-        ref_path="src/repro/perf/flat_contraction.py",
-        ref_symbol="FlatContraction",
-        flat_path="src/repro/perf/parallel/contraction.py",
-        flat_symbol="ParallelContraction",
-        flat_base=("src/repro/perf/flat_contraction.py", "FlatContraction"),
-        allow_extra_flat=frozenset({"close", "engine"}),
-        notes=(
-            "ParallelContraction overrides heal/set_rake_op (cached "
-            "level schedules + offloaded evaluation) and must keep "
-            "their signatures in lockstep with FlatContraction; "
-            "close()/engine are the slab/pool handles with no "
-            "single-process analogue."
         ),
     ),
 )
@@ -426,11 +387,6 @@ SNAPSHOT_SPECS: Tuple[SnapshotSpec, ...] = (
         class_name="FlatRBSTS",
         columns=FLAT_SNAPSHOT_COLUMNS,
     ),
-    SnapshotSpec(
-        path="src/repro/perf/parallel/rbsts.py",
-        class_name="ParallelRBSTS",
-        columns=FLAT_SNAPSHOT_COLUMNS,
-    ),
 )
 
 #: Crash-hooked classes that legitimately carry no snapshot-coverable
@@ -519,7 +475,7 @@ R001_FORBIDDEN_BUILTINS: FrozenSet[str] = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# R201-R204 — interprocedural effect analysis (repro.lint.effects)
+# R201, R202, R204 — interprocedural effect analysis (repro.lint.effects)
 # ---------------------------------------------------------------------------
 
 
@@ -527,15 +483,13 @@ R001_FORBIDDEN_BUILTINS: FrozenSet[str] = frozenset(
 class EffectEntry:
     """One public batch entry point the R2xx closure checks start from.
 
-    ``class_name`` may name a subclass that merely *inherits* the
-    method (``ParallelRBSTS``): entry resolution follows the
-    inheritance component, so the closure still includes every
-    override the dynamic dispatch could reach.  ``rules`` masks which
-    checks apply — the contraction entries run R201 only, because the
-    rake-tree's ``RTNode`` reuses the ``left``/``right``/``parent``
-    slot names without being snapshot-covered state (admission-only by
-    the PR 3 design), which would make every R202 path report a
-    non-restorable mutation by name collision.
+    Entry resolution follows the inheritance component, so the closure
+    includes every override the dynamic dispatch could reach.  ``rules``
+    masks which checks apply — the contraction entries run R201 only,
+    because the rake-tree's ``RTNode`` reuses the ``left``/``right``/
+    ``parent`` slot names without being snapshot-covered state
+    (admission-only by design, DESIGN.md §7), which would make every R202
+    path report a non-restorable mutation by name collision.
     """
 
     path: str
@@ -554,7 +508,6 @@ def _rbsts_entries(path: str, cls: str) -> Tuple[EffectEntry, ...]:
 EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
     _rbsts_entries("src/repro/splitting/rbsts.py", "RBSTS")
     + _rbsts_entries("src/repro/perf/flat_rbsts.py", "FlatRBSTS")
-    + _rbsts_entries("src/repro/perf/parallel/rbsts.py", "ParallelRBSTS")
     + tuple(
         EffectEntry("src/repro/listprefix/structure.py", "IncrementalListPrefix", m)
         for m in ("batch_set", "batch_insert", "batch_delete")
@@ -599,14 +552,6 @@ EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
     )
 )
 
-#: ``(path, qualname)`` roots of code that executes inside pool worker
-#: processes (R203).  ``_worker_main`` is the whole worker loop: every
-#: chunk kernel (``_compose_range``, ``_eval_family``) and slab attach
-#: runs under it.
-WORKER_KERNEL_ROOTS: Tuple[Tuple[str, str], ...] = (
-    ("src/repro/perf/parallel/pool.py", "_worker_main"),
-)
-
 #: ``path::qualname`` -> justification for functions that *are* a
 #: transaction seam even though no ``_txn_begin`` call appears in their
 #: own body.  These are the analysis's higher-order blind spots: the
@@ -625,15 +570,6 @@ TXN_GUARDS: Dict[str, str] = {
 #: registered here; keying by owner (not entry) means one entry covers
 #: every entry point whose closure reaches the same helper.
 EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
-    "R201": {
-        "src/repro/serve/clock.py::MonotonicClock.now": (
-            "the asyncio frontend's wall clock, injected at the event-"
-            "loop boundary only — the clock-free sync core takes `now` "
-            "as an argument (serve/clock.py docstring).  The one path "
-            "the closure reports is a name-collision phantom: the "
-            "engine's pool.submit() resolving to BatchService.submit"
-        ),
-    },
     "R202": {
         "src/repro/perf/flat_rbsts.py::FlatRBSTS.handle": (
             "lazy interning-cache fill (slot -> FlatLeaf) on the "
@@ -647,11 +583,6 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
             "bounded retry (or the degradation ladder) handles state "
             "that cannot be healed in place; the open checkpoint still "
             "rewinds everything the failed repair touched"
-        ),
-        "src/repro/perf/parallel/engine.py::ParallelEngine._scratch_pair": (
-            "scratch slabs are transient per-round compute buffers "
-            "rebuilt by the next scan; no logical tree state lives in "
-            "them, so rollback has nothing to restore"
         ),
         # -- PRAM simulation state is per-attempt scratch: pram_sum
         # constructs a fresh FaultyMachine inside each supervised
@@ -744,9 +675,8 @@ class LintConfig:
     #: Modules exempt from R005's "must define __all__" requirement
     #: (entry-point shims with no importable surface).
     exports_exempt: FrozenSet[str] = frozenset()
-    # -- R201-R204 interprocedural effect analysis ----------------------
+    # -- R201/R202/R204 interprocedural effect analysis ----------------
     effect_entries: Tuple[EffectEntry, ...] = EFFECT_ENTRY_POINTS
-    worker_kernel_roots: Tuple[Tuple[str, str], ...] = WORKER_KERNEL_ROOTS
     txn_guards: Mapping[str, str] = field(
         default_factory=lambda: dict(TXN_GUARDS)
     )

@@ -1,4 +1,4 @@
-"""Interprocedural effect & determinism analysis (rules R201-R204).
+"""Interprocedural effect & determinism analysis (rules R201, R202, R204).
 
 Pipeline: :mod:`extract` turns each source file into a cacheable
 :class:`~repro.lint.effects.model.ModuleSummary` of per-function effect
@@ -6,8 +6,8 @@ atoms and call descriptors; :mod:`graph` links them into a call graph
 (inheritance-component ``self`` dispatch, duck-typed seams, callback
 edges) and computes reachability / guard-exposure fixpoints;
 :mod:`checks` runs the R2xx rules; :mod:`report` drives the whole pass
-and emits the ``repro-effects/1`` document.  Entry points, worker
-kernel roots, transaction guards and justified allowlists are
+and emits the ``repro-effects/1`` document.  Entry points,
+transaction guards and justified allowlists are
 registered in :mod:`repro.lint.config`, same as every other rule's
 exemptions.
 """

@@ -25,7 +25,7 @@ from .model import ModuleSummary
 
 __all__ = ["SummaryCache", "cache_path"]
 
-_CACHE_SCHEMA = "repro-effects-cache/1"
+_CACHE_SCHEMA = "repro-effects-cache/2"
 
 
 def cache_path(root: Path) -> Path:

@@ -39,7 +39,6 @@ from .model import (
     KIND_RAISE,
     KIND_RNG,
     KIND_SET_ITER,
-    KIND_SPAWN,
     KIND_TIME,
     Atom,
     CallDesc,
@@ -647,10 +646,6 @@ class _FunctionScanner:
             self.atoms.append(Atom(KIND_IO, method, line))
             return
 
-        if method in ("Process", "Pipe"):
-            self.atoms.append(Atom(KIND_SPAWN, method, line))
-            return
-
         if isinstance(func.value, ast.Name):
             root_name = func.value.id
             if root_name == "self":
@@ -697,8 +692,6 @@ class _FunctionScanner:
             return Atom(KIND_GLOBAL_RNG, f"uuid.{fn}", line)
         if root == "shutil":
             return Atom(KIND_IO, f"shutil.{fn}", line)
-        if root == "multiprocessing" and fn == "get_context":
-            return Atom(KIND_SPAWN, "get_context", line)
         if root == "math":
             return Atom("", "", line)
         return None

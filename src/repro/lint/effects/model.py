@@ -51,7 +51,6 @@ __all__ = [
     "KIND_MUT_COL",
     "KIND_MUT_OTHER",
     "KIND_IO",
-    "KIND_SPAWN",
     "KIND_RAISE",
     "NONDET_KINDS",
     "MUT_KINDS",
@@ -70,7 +69,6 @@ KIND_MUT_NODE = "mut-node"
 KIND_MUT_COL = "mut-col"
 KIND_MUT_OTHER = "mut-other"
 KIND_IO = "io"
-KIND_SPAWN = "spawn"
 KIND_RAISE = "raise"
 
 #: Kinds R201 reports when reachable from a batch entry point.
@@ -104,8 +102,7 @@ class CallDesc:
     ``kind`` is how the callee was spelled:
 
     * ``"self"`` — ``self.m(...)`` (resolve across the receiver class's
-      inheritance component, so the reference→flat→parallel subclass
-      shims dispatch to every override);
+      inheritance component, so a call dispatches to every override);
     * ``"name"`` — ``f(...)`` (resolve against nested defs, module
       functions, from-imports, then classes → ``__init__``);
     * ``"class"`` — ``ClassName.m(...)``;

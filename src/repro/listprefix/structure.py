@@ -49,11 +49,9 @@ class IncrementalListPrefix:
     seed:
         RBSTS randomness seed.
     backend:
-        ``"reference"`` (pointer graph), ``"flat"``
+        ``"reference"`` (pointer graph) or ``"flat"``
         (:class:`~repro.perf.flat_rbsts.FlatRBSTS` struct-of-arrays
-        core) or ``"parallel"`` (flat core over shared-memory slabs
-        with a worker-pool scan engine; ``workers=`` sets the pool
-        size); same seed → same shapes and answers on all three.
+        core); same seed → same shapes and answers on both.
 
     Leaf *handles* (:class:`~repro.splitting.node.BSTNode`, or
     :class:`~repro.perf.flat_rbsts.FlatLeaf` under the flat backend)
@@ -68,21 +66,15 @@ class IncrementalListPrefix:
         *,
         seed: int = 0,
         backend: str = "reference",
-        workers: Optional[int] = None,
     ):
         self.monoid = monoid
-        kwargs = {} if workers is None else {"workers": workers}
         self.tree = RBSTS(
             values,
             seed=seed,
             summarizer=Summarizer(monoid, lambda item: item),
             backend=backend,
-            **kwargs,
         )
-        # The flat and parallel backends share the struct-of-arrays
-        # layout; ``parallel`` additionally owns a worker-pool engine.
-        self._flat = backend in ("flat", "parallel")
-        self._parallel = backend == "parallel"
+        self._flat = backend == "flat"
 
     # -- introspection ---------------------------------------------------
     def __len__(self) -> int:
@@ -213,14 +205,10 @@ class IncrementalListPrefix:
 
         Only ring-sum monoids over exact vector rings are eligible
         (``flat_prefix_scan``), where scan ≡ fold outright — answers
-        are identical on every backend either way.  Under the parallel
-        backend the scan additionally runs chunked across the worker
-        pool via the tree's engine.
+        are identical on every backend either way.
         """
         if not self._flat:
             return None
-        if self._parallel:
-            return self.tree.engine.prefix_values(sums)
         from ..perf.flat_prefix import flat_prefix_scan
 
         return flat_prefix_scan(self.monoid, sums)

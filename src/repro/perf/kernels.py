@@ -6,8 +6,9 @@ The three rules of :mod:`~repro.contraction.labels` — rake-add
 list-prefix scan (:func:`prefix_compose`) runs its doubling strides
 through :meth:`PythonKernels.compress`.  The flat contraction evaluates
 rake-tree labels in one scalar pass of its own
-(:mod:`~repro.perf.flat_contraction`); the parallel backend's cached
-heal levels mirror the NumPy expressions here.
+(:mod:`~repro.perf.flat_contraction`); no library code calls
+``rake_add``/``rake_mul``, but ``perfbench/tracing.py`` wraps all three
+rules by name to attribute kernel time.
 
 Two interchangeable kernel sets:
 

@@ -2,7 +2,7 @@
 
 A :class:`Shard` owns one tree instance (wrapped in a
 :class:`~repro.resilience.executor.ResilientListSession`, so faults
-demote it down the ``parallel → flat → reference → sequential`` ladder
+demote it down the ``flat → reference → sequential`` ladder
 without losing committed state) plus the robustness machinery around
 it:
 

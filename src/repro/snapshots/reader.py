@@ -6,7 +6,7 @@ batches mutate the live structure.  ``len``, ``value_at``, ``prefix``,
 ``_n_leaves``/``_summary`` columns (the sequential algorithm of §1.2):
 none copies the slab or walks the leaves.
 
-* **Flat family** (``FlatRBSTS`` / ``ParallelRBSTS``): pinning is O(1)
+* **Flat backend** (``FlatRBSTS``): pinning is O(1)
   — a :class:`_PinnedFlatSnapshot` joins the transaction stack and
   records copy-on-write pre-images through the journal seam.  From
   the pinned root, a query reads slot ``i`` from ``saved[i]`` if it
@@ -28,8 +28,7 @@ transaction instead of flattening into the reader.  Exits must nest:
 close the reader only when no writer transaction opened after it is
 still open (the stack raises :class:`~repro.errors.SnapshotStateError`
 otherwise).  Entry points: ``RBSTS.pinned_reader()`` /
-``FlatRBSTS.pinned_reader()`` (the parallel backend inherits the flat
-one) and ``DynamicTreeContraction.pinned_reader()``; ``repro.serve``
+``FlatRBSTS.pinned_reader()`` and ``DynamicTreeContraction.pinned_reader()``; ``repro.serve``
 answers every read from one of these pins.
 """
 

@@ -93,12 +93,7 @@ class RBSTS:
         implementation; ``"flat"`` returns a
         :class:`~repro.perf.flat_rbsts.FlatRBSTS` — the struct-of-arrays
         core with the same public surface and identical seeded behaviour
-        (``tests/perf/test_flat_vs_reference.py`` pins the two op-for-op);
-        ``"parallel"`` returns a
-        :class:`~repro.perf.parallel.rbsts.ParallelRBSTS` — the flat core
-        over shared-memory slabs with a worker-pool engine (``workers=``
-        kwarg; bit-for-bit equal to ``"flat"``, pinned by
-        ``tests/perf/test_parallel_vs_flat.py``).
+        (``tests/perf/test_flat_vs_reference.py`` pins the two op-for-op).
     """
 
     def __new__(
@@ -113,10 +108,6 @@ class RBSTS:
             from ..perf.flat_rbsts import FlatRBSTS
 
             return FlatRBSTS(items, **kwargs)  # type: ignore[return-value]
-        if backend == "parallel":
-            from ..perf.parallel.rbsts import ParallelRBSTS
-
-            return ParallelRBSTS(items, **kwargs)  # type: ignore[return-value]
         if backend != "reference":
             raise InvalidParameterError(f"unknown RBSTS backend {backend!r}")
         return super().__new__(cls)

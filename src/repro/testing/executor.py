@@ -50,10 +50,8 @@ __all__ = [
 _RAW = 1 << 16
 
 #: ``"both"`` runs the reference/flat twin pair (shape-signature and
-#: RNG lockstep); ``"parallel"`` runs the shared-memory worker-pool
-#: backend alone against the naive model (its bit-for-bit twin is the
-#: flat backend, pinned by ``tests/perf/test_parallel_vs_flat.py``).
-BACKENDS = ("reference", "flat", "parallel", "both")
+#: RNG lockstep).
+BACKENDS = ("reference", "flat", "both")
 
 #: Upper bound on the armed crash-point index.  Batch ops hit between 2
 #: and ~15 interior crash points depending on backend and batch size, so
@@ -163,7 +161,7 @@ def run_sequence(
     that the restore is bit-for-bit identical to never having mutated
     (shape signature, RNG state, ``last_batch_stats``, invariants) and
     that the replay lands bit-for-bit on the first application — on
-    every backend, including ``parallel``.  ``snapshot_mode="persist"``
+    every backend.  ``snapshot_mode="persist"``
     additionally round-trips each captured state through the
     serialization codec.  The contraction scenario ignores it for the
     same admission-boundary reason as ``crash_seed``.

@@ -220,10 +220,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--ops", type=int, default=500, help="ops per sequence")
     ap.add_argument(
         "--backend",
-        choices=["reference", "flat", "parallel", "both"],
+        choices=["reference", "flat", "both"],
         default="both",
-        help="subject backends ('both' = lockstep differential; "
-        "'parallel' = shared-memory worker-pool backend vs the model)",
+        help="subject backends ('both' = lockstep differential)",
     )
     ap.add_argument(
         "--scenario",

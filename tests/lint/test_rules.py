@@ -377,7 +377,6 @@ def test_r004_repo_snapshot_specs_mirror_coverage_constants():
 
     specs = {s.class_name: s for s in REPO_CONFIG.snapshot_specs}
     assert specs["FlatRBSTS"].columns == FLAT_SNAPSHOT_COLUMNS
-    assert specs["ParallelRBSTS"].columns == FLAT_SNAPSHOT_COLUMNS
     assert specs["RBSTS"].covered_fields == REFERENCE_SNAPSHOT_FIELDS
     assert specs["RBSTS"].node_class == (
         "src/repro/splitting/node.py",

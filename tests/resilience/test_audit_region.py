@@ -23,9 +23,8 @@ import pytest
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
-from repro.errors import TreeStructureError
+from repro.errors import MachineHangError, TreeStructureError
 from repro.perf.flat_rbsts import FlatRBSTS
-from repro.perf.parallel.pool import DeadWorkerError
 from repro.resilience.corpus import replay_resilience_corpus
 from repro.resilience.executor import ResiliencePolicy, ResilientListSession
 from repro.resilience.faults import TREE_FAULT_KINDS, plant_metadata_damage
@@ -397,15 +396,15 @@ def test_first_supervised_call_after_demotion_walks_everything(monkeypatch):
         vals,
         seed=3,
         policy=ResiliencePolicy(
-            max_retries=1, ladder=("parallel", "flat", "sequential")
+            max_retries=1, ladder=("reference", "flat", "sequential")
         ),
     )
     session.total()
 
-    def always_dead(*_args):
-        raise DeadWorkerError("no workers survive (injected)")
+    def always_hung(*_args):
+        raise MachineHangError("backend never quiesces (injected)")
 
-    session._structure.prefix = always_dead
+    session._structure.prefix = always_hung
     assert session.prefix(len(vals) - 1) == sum(vals)
     assert session.rung == "flat"
     tree = session._structure.tree

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
-from repro.errors import CorruptionDetectedError
+from repro.errors import CorruptionDetectedError, MachineHangError
 from repro.resilience.executor import ResiliencePolicy
 from repro.serve.requests import Request, ServePolicy
 from repro.serve.shard import Shard
@@ -99,11 +99,9 @@ def test_success_resets_consecutive_failure_count():
     assert shard.breaker_state == "closed"  # 1 < threshold again
 
 
-def test_worker_death_demotion_is_confined_to_one_shard():
-    """A dying backend on one shard demotes that shard's session down
+def test_backend_hang_demotion_is_confined_to_one_shard():
+    """A hanging backend on one shard demotes that shard's session down
     the ladder; sibling shards keep their rung and their traffic."""
-    from repro.perf.parallel.pool import DeadWorkerError
-
     policy = ServePolicy(
         resilience=ResiliencePolicy(
             ladder=("flat", "reference"), max_retries=0
@@ -112,16 +110,16 @@ def test_worker_death_demotion_is_confined_to_one_shard():
     sick = Shard(0, MONOID, [1, 2, 3], seed=0, policy=policy)
     healthy = Shard(1, MONOID, [4, 5, 6], seed=0, policy=policy)
 
-    def die(*a, **k):
-        raise DeadWorkerError("worker died mid-batch")
+    def hang(*a, **k):
+        raise MachineHangError("backend hung mid-batch")
 
-    sick.session._structure.batch_insert = die
+    sick.session._structure.batch_insert = hang
     out = sick.execute_window([req(0)], 0.0)
-    # The ladder absorbed the death: demoted to reference, op applied.
+    # The ladder absorbed the hang: demoted to reference, op applied.
     assert out[0].status == "applied"
     assert sick.session.rung == "reference"
     assert len(sick.session.events) == 1
-    assert "worker died" in sick.session.events[0].reason
+    assert "backend hung" in sick.session.events[0].reason
     assert sick.values() == [0, 1, 2, 3]
     # The sibling shard is untouched.
     h_out = healthy.execute_window(

@@ -19,7 +19,7 @@ from repro.snapshots.fuzz import states_equal
 from repro.testing.oracles import shape_signature
 
 MONOID = sum_monoid(INTEGER)
-BACKENDS = ("reference", "flat", "parallel")
+BACKENDS = ("reference", "flat")
 
 
 def make(backend, *, n=12, seed=3):
@@ -224,7 +224,7 @@ def test_fanout_seam_installed_only_when_nested():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ("flat", "parallel"))
+@pytest.mark.parametrize("backend", ("flat",))
 def test_materialize_capture_epoch_version(backend):
     lp = make(backend)
     # Fill the lazy handle cache first: handle proxies are created

@@ -22,7 +22,7 @@ MONOID = sum_monoid(INTEGER)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ("both", "reference", "flat", "parallel"))
+@pytest.mark.parametrize("backend", ("both", "reference", "flat"))
 @pytest.mark.parametrize("mode", SNAPSHOT_MODES)
 def test_rig_passes_on_every_backend(backend, mode):
     seq = generate("list", 11, 20)
@@ -64,7 +64,7 @@ def test_unknown_snapshot_mode_rejected():
     [
         ("differential", 0, "flat"),
         ("save-crash", 0, "flat"),
-        ("restore-crash", 0, "parallel"),
+        ("restore-crash", 0, "flat"),
         ("corruption", 1, "reference"),
     ],
 )
