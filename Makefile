@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-perf bench bench-serve bench-smoke bench-regress bench-check bench-trace bench-pairs \
+.PHONY: test test-perf bench bench-smoke bench-regress bench-check bench-trace bench-pairs \
         regress lint lint-effects fuzz-smoke fuzz-selftest fuzz-crash \
         fuzz-faults fuzz-snapshots fuzz-serve \
         corpus-replay clean
@@ -21,12 +21,6 @@ test-perf:
 ## Full perf harness: refresh BENCH_PR7.json at the repo root.
 bench:
 	$(PYTHON) benchmarks/perf_harness.py
-
-## Serve-layer window sweep: refresh BENCH_SERVE.json at the repo root
-## (throughput + latency quantiles per batch-window size; see
-## benchmarks/serve_harness.py and EXPERIMENTS.md).
-bench-serve:
-	$(PYTHON) benchmarks/serve_harness.py
 
 ## Smoke-size harness run: exercises the harness + regression gate on
 ## the quick grid (generous wall-clock threshold — the simulated-cost

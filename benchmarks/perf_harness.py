@@ -13,28 +13,21 @@ E5 / E6 and records, per cell and per backend:
   cross-backend parity check.
 
 The output is ``BENCH_PR7.json`` at the repository root (override with
-``--out``).  ``regress.py`` replays the same grid against the newest
-stored baseline and fails on wall-clock regressions, simulated-cost
-drift, or a gate-cell speedup dropping below its floor.
-
-``--profile`` additionally runs each cell under :mod:`cProfile` and
-embeds the top-20 functions by cumulative time in the cell record
-(``"profile"`` key).  Profiling inflates ``wall_clock_s``, so never
-use a ``--profile`` run as a regression baseline.
+``--out``).  ``regress.py`` replays the same grid against that stored
+baseline and fails on wall-clock regressions, simulated-cost drift, or
+a gate-cell speedup dropping below its floor.
 
 Run:  PYTHONPATH=src python benchmarks/perf_harness.py
-          [--quick] [--profile] [--out PATH]
+          [--quick] [--out PATH]
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
 import gc
 import json
 import os
 import platform
-import pstats
 import random
 import sys
 import time
@@ -58,7 +51,6 @@ DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_PR7.json")
 BACKENDS = ("reference", "flat")
 REPEATS = 3
 SEEDS = (0, 1, 2)
-PROFILE_TOP = 20
 
 # The acceptance-gate cells: flat-over-reference speedup floors live in
 # ``regress.MIN_SPEEDUPS`` keyed by the same experiment names.
@@ -260,36 +252,11 @@ def grid(quick: bool) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
-def _top_profile(prof: cProfile.Profile, top: int = PROFILE_TOP) -> List[Dict]:
-    """The ``top`` rows of a finished profile, by cumulative time."""
-    stats = pstats.Stats(prof)
-    ranked = sorted(
-        stats.stats.items(), key=lambda kv: kv[1][3], reverse=True
-    )
-    rows = []
-    for (path, line, func), (_cc, nc, tt, ct, _callers) in ranked[:top]:
-        where = "~" if path == "~" else f"{os.path.basename(path)}:{line}"
-        rows.append(
-            {
-                "func": f"{where}({func})",
-                "ncalls": nc,
-                "tottime_s": round(tt, 6),
-                "cumtime_s": round(ct, 6),
-            }
-        )
-    return rows
-
-
-def run_cell(
-    spec: Dict[str, Any], backend: str, profile: bool = False
-) -> Dict[str, Any]:
+def run_cell(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
     if spec["experiment"] == "R1":
-        return _run_cell_r1(spec, backend, profile)
+        return _run_cell_r1(spec, backend)
     kernel = KERNELS[spec["experiment"]]
     n, u = spec["n"], spec["u"]
-    prof = cProfile.Profile() if profile else None
-    if prof is not None:
-        prof.enable()
     best = float("inf")
     simulated: Dict[str, Any] = {}
     for _ in range(REPEATS):
@@ -308,32 +275,22 @@ def run_cell(
                 f"{simulated} != {sim_acc}"
             )
         simulated = sim_acc
-    if prof is not None:
-        prof.disable()
-    entry = {
+    return {
         "experiment": spec["experiment"],
         "cell": {"n": n, "u": u, "seeds": list(SEEDS)},
         "backend": backend,
         "wall_clock_s": round(best, 6),
         "simulated": simulated,
     }
-    if prof is not None:
-        entry["profile"] = _top_profile(prof)
-    return entry
 
 
-def _run_cell_r1(
-    spec: Dict[str, Any], backend: str, profile: bool = False
-) -> Dict[str, Any]:
+def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
     """The resilience-overhead cell: like :func:`run_cell` but also
     records ``overhead_ratio`` (supervised / bare wall-clock, both
     best-of-``REPEATS``) as a top-level key — ``regress.py`` gates it at
     1.10 so the checkpoint seam can never silently slow the fault-free
     fast path by more than 10%."""
     n, u = spec["n"], spec["u"]
-    prof = cProfile.Profile() if profile else None
-    if prof is not None:
-        prof.enable()
     best_on = best_off = float("inf")
     simulated: Dict[str, Any] = {}
     for _ in range(REPEATS):
@@ -353,9 +310,7 @@ def _run_cell_r1(
                 f"{simulated} != {sim_acc}"
             )
         simulated = sim_acc
-    if prof is not None:
-        prof.disable()
-    entry = {
+    return {
         "experiment": "R1",
         "cell": {"n": n, "u": u, "seeds": list(SEEDS)},
         "backend": backend,
@@ -364,14 +319,9 @@ def _run_cell_r1(
         "overhead_ratio": round(best_on / best_off, 3),
         "simulated": simulated,
     }
-    if prof is not None:
-        entry["profile"] = _top_profile(prof)
-    return entry
 
 
-def run(
-    quick: bool = False, profile: bool = False, cells: str = "all"
-) -> Dict[str, Any]:
+def run(quick: bool = False, cells: str = "all") -> Dict[str, Any]:
     specs = grid(quick)
     if cells == "gate":
         # Just the speedup-gated cells (regress.py --cells gate).
@@ -386,7 +336,7 @@ def run(
     for spec in specs:
         per_backend: Dict[str, Dict[str, Any]] = {}
         for backend in BACKENDS:
-            entry = run_cell(spec, backend, profile)
+            entry = run_cell(spec, backend)
             per_backend[backend] = entry
             entries.append(entry)
             print(
@@ -438,7 +388,6 @@ def run(
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": quick,
-        "profiled": profile,
         "cells_mode": cells,
         "repeats": REPEATS,
         "cells": entries,
@@ -449,15 +398,9 @@ def run(
 def main(argv: List[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true", help="smoke-size grid")
-    ap.add_argument(
-        "--profile",
-        action="store_true",
-        help="embed top-20 cProfile rows per cell (inflates wall clocks; "
-        "never baseline a profiled run)",
-    )
     ap.add_argument("--out", default=DEFAULT_OUT, help="output JSON path")
     args = ap.parse_args(argv)
-    report = run(quick=args.quick, profile=args.profile)
+    report = run(quick=args.quick)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")

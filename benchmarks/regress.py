@@ -1,7 +1,7 @@
 """Perf-regression gate: replay the harness grid against a baseline.
 
-Loads a baseline report (the newest ``BENCH_PR*.json`` at the repo
-root by default — highest numeric suffix wins), re-runs the identical
+Loads a baseline report (``perf_harness.DEFAULT_OUT``, the
+``BENCH_PR7.json`` at the repo root, by default), re-runs the identical
 seeded cell grid, and fails when:
 
 * any cell's wall-clock exceeds the baseline by more than
@@ -12,10 +12,7 @@ seeded cell grid, and fails when:
   any drift means the algorithm changed, not the machine; or
 * a gate cell's flat-over-reference speedup (computed on the *current*
   run, so it is machine-independent) falls below its
-  ``MIN_SPEEDUPS`` floor; or
-* the serve layer's batching speedup (``benchmarks/serve_harness.py``,
-  throughput at window 32 over window 1, same machine) falls below
-  ``SERVE_MIN_BATCH_SPEEDUP``.
+  ``MIN_SPEEDUPS`` floor.
 
 ``--cells gate`` re-runs only the speedup-gated cells (E4/E5/E6 full
 sizes) — the quick CI mode behind ``make bench-regress``.  The
@@ -33,12 +30,10 @@ Run:  PYTHONPATH=src python benchmarks/regress.py [--baseline PATH]
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
-import re
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,12 +58,6 @@ MIN_SPEEDUPS = {"E4": 2.0, "E5": 1.3, "E6": 2.5}
 # same machine, so it is self-normalising — no baseline comparison
 # needed).
 OVERHEAD_LIMIT = 1.10
-
-# Serve-layer batching gate (benchmarks/serve_harness.py): coalescing
-# requests into w=32 windows must beat the w=1 no-batching baseline by
-# this factor on the same machine.  Measured ~4.4x on the full sweep
-# and ~3.4x on the quick grid (PR 10); the floor keeps slack for both.
-SERVE_MIN_BATCH_SPEEDUP = 2.5
 
 
 # Keys every baseline cell must carry for compare() to work; checked up
@@ -103,21 +92,6 @@ def validate_cells(baseline: Dict[str, Any]) -> List[str]:
     return problems
 
 
-def newest_baseline() -> Optional[str]:
-    """The ``BENCH_PR<k>.json`` at the repo root with the highest ``k``.
-
-    Harness artifacts are stacked per PR; the newest one is the only
-    baseline whose grid matches the current harness.
-    """
-    best_key = -1
-    best_path = None
-    for path in glob.glob(os.path.join(perf_harness.REPO_ROOT, "BENCH_PR*.json")):
-        m = re.fullmatch(r"BENCH_PR(\d+)\.json", os.path.basename(path))
-        if m and int(m.group(1)) > best_key:
-            best_key, best_path = int(m.group(1)), path
-    return best_path
-
-
 def gate_failures(current: Dict[str, Any]) -> List[str]:
     """Speedup-floor checks on the current run's gate cells."""
     failures: List[str] = []
@@ -143,34 +117,6 @@ def gate_failures(current: Dict[str, Any]) -> List[str]:
                 f"{ratio:.3f}x below floor {floor}x"
             )
     return failures
-
-
-def serve_gate(quick: bool) -> List[str]:
-    """Same-machine serve-layer batching check (see
-    ``SERVE_MIN_BATCH_SPEEDUP``); re-runs the sweep's two gate cells so
-    no ``BENCH_SERVE.json`` baseline is needed."""
-    import serve_harness
-
-    n = (
-        serve_harness.N_REQUESTS_QUICK if quick else serve_harness.N_REQUESTS
-    )
-    tput = {
-        w: serve_harness.run_cell(w, n)["throughput_rps"] for w in (1, 32)
-    }
-    ratio = tput[32] / tput[1]
-    floor = SERVE_MIN_BATCH_SPEEDUP
-    status = "OK" if ratio >= floor else "REGRESSION"
-    print(
-        f"{status:>10}  serve gate batching speedup (w=32 over w=1) "
-        f"{ratio:.3f}x (floor {floor}x)"
-    )
-    if ratio < floor:
-        return [
-            f"serve gate: batching speedup {ratio:.3f}x below floor "
-            f"{floor}x (w=1 {tput[1]:.0f} req/s, w=32 {tput[32]:.0f} "
-            "req/s; see benchmarks/serve_harness.py)"
-        ]
-    return []
 
 
 def key_of(entry: Dict[str, Any]) -> str:
@@ -223,8 +169,8 @@ def main(argv: List[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
         "--baseline",
-        default=None,
-        help="baseline report (default: newest BENCH_PR*.json at repo root)",
+        default=perf_harness.DEFAULT_OUT,
+        help="baseline report (default: BENCH_PR7.json at repo root)",
     )
     ap.add_argument("--threshold", type=float, default=0.25)
     ap.add_argument(
@@ -242,16 +188,6 @@ def main(argv: List[str] | None = None) -> int:
     if args.cells == "gate" and args.quick:
         print("--cells gate needs the full-size grid (drop --quick)", file=sys.stderr)
         return 2
-
-    if args.baseline is None:
-        args.baseline = newest_baseline()
-        if args.baseline is None:
-            print(
-                "no BENCH_PR*.json baseline at the repo root (generate one "
-                "with benchmarks/perf_harness.py)",
-                file=sys.stderr,
-            )
-            return 2
 
     try:
         with open(args.baseline) as fh:
@@ -293,7 +229,6 @@ def main(argv: List[str] | None = None) -> int:
     failures = compare(baseline, current, args.threshold)
     if not args.quick:
         failures.extend(gate_failures(current))
-    failures.extend(serve_gate(quick=args.quick))
     if failures:
         print("\nperf regression gate FAILED:", file=sys.stderr)
         for f in failures:

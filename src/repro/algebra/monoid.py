@@ -30,7 +30,7 @@ class Monoid:
 
     ``ring`` is set only when ``combine`` *is* that ring's addition
     (``sum_monoid``): it asserts the monoid is ring-sum, which lets the
-    flat/parallel backends fold prefixes through the exact vectorized
+    flat backend fold prefixes through the exact vectorized
     doubling scan instead of the sequential Python loop.  General
     monoids leave it ``None`` and always fold sequentially.
     """

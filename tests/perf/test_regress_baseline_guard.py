@@ -1,5 +1,7 @@
 """The perf-regression gate must reject malformed baselines with a
-distinct exit code (3) and message — never a ``KeyError`` traceback."""
+distinct exit code (3) and message — never a ``KeyError`` traceback —
+and its speedup floors must judge the gate cells it is given (checked
+on synthetic runs, so no timing is involved)."""
 
 from __future__ import annotations
 
@@ -88,3 +90,63 @@ def test_schema_mismatch_still_exits_2(regress, tmp_path):
 
 def test_validate_cells_accepts_good_baseline(regress):
     assert regress.validate_cells({"cells": [dict(GOOD_CELL)]}) == []
+
+
+def test_default_baseline_missing_exits_2(regress, monkeypatch, tmp_path):
+    missing = str(tmp_path / "BENCH_PR7.json")
+    monkeypatch.setattr(regress.perf_harness, "DEFAULT_OUT", missing)
+    assert regress.main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# speedup floors (gate_failures) on synthetic current runs
+# ---------------------------------------------------------------------------
+
+
+def gate_run(regress, ratios):
+    """A current report holding one reference/flat pair per gate cell in
+    ``ratios``, timed so reference / flat is exactly that ratio."""
+    cells = []
+    for exp, ratio in ratios.items():
+        cell = regress.perf_harness.GATE_CELLS[exp]
+        for backend, wall in (("reference", ratio), ("flat", 1.0)):
+            cells.append(
+                {
+                    "experiment": exp,
+                    "cell": {"n": cell["n"], "u": cell["u"]},
+                    "backend": backend,
+                    "simulated": {},
+                    "wall_clock_s": wall,
+                }
+            )
+    return {"cells": cells}
+
+
+@pytest.mark.parametrize("exp", ["E4", "E5", "E6"])
+def test_below_floor_gate_ratio_fails(regress, exp):
+    ratios = dict(regress.MIN_SPEEDUPS)
+    ratios[exp] -= 0.01
+    failures = regress.gate_failures(gate_run(regress, ratios))
+    assert len(failures) == 1
+    assert failures[0].startswith(f"{exp} gate cell")
+    assert "below floor" in failures[0]
+
+
+def test_at_floor_gate_ratios_pass(regress, capsys):
+    assert regress.gate_failures(gate_run(regress, regress.MIN_SPEEDUPS)) == []
+    assert capsys.readouterr().out.count("OK") == 3
+
+
+def test_missing_gate_cell_is_skipped(regress, capsys):
+    ratios = {"E4": regress.MIN_SPEEDUPS["E4"], "E6": 0.5}
+    current = gate_run(regress, ratios)
+    # E5 is absent and E6 has no flat timing: neither can be judged.
+    current["cells"] = [
+        c
+        for c in current["cells"]
+        if (c["experiment"], c["backend"]) != ("E6", "flat")
+    ]
+    assert regress.gate_failures(current) == []
+    out = capsys.readouterr().out
+    assert "E4 gate" in out
+    assert "E5" not in out and "E6" not in out

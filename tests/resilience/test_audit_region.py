@@ -4,7 +4,7 @@
 on the flat family, which checks the slots the open snapshot saw written
 (plus their neighbourhood) instead of walking the whole tree, and falls
 back to the full walk when a local check cannot be trusted.  These tests
-pin three things:
+pin four things:
 
 * **verdict parity** — on every supervised audit of the recovery fuzzer,
   the serve chaos harness and the pinned corpus, the region pass raises
@@ -12,7 +12,9 @@ pin three things:
 * **fault coverage** — every injectable tree fault on every dirty or
   born slot of real batches is caught by the region pass itself;
 * **fallbacks** — the full walk runs when the shortcut threshold moves
-  or the pre-state was never audited, and pinned reads do not force it.
+  or the pre-state was never audited, and pinned reads do not force it;
+* **serve windows** — one-request windows over a seeded write stream
+  audit their region, and full walks stay a small fixed fraction.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from repro.serve.chaos import (
     replay_serve_entry,
     run_chaos,
 )
+from repro.serve.loadgen import generate_specs, spec_args
+from repro.serve.requests import Request, ServePolicy
+from repro.serve.shard import Shard
 from repro.snapshots.core import SnapshotState
 from repro.snapshots.persist import load, save
 from repro.testing.corpus import corpus_paths, default_corpus_dir
@@ -93,21 +98,32 @@ class Parity:
 
 
 class FullWalks:
-    """Counts full walks per tree."""
+    """Counts full walks and region passes per tree."""
 
     def __init__(self, monkeypatch):
         self.by_tree = {}
+        self.regions_by_tree = {}
         walk = FlatRBSTS._check_all
+        region_pass = FlatRBSTS._check_region
         counter = self
 
         def check_all(tree):
             counter.by_tree[id(tree)] = counter.by_tree.get(id(tree), 0) + 1
             return walk(tree)
 
+        def check_region(tree, region):
+            passes = counter.regions_by_tree
+            passes[id(tree)] = passes.get(id(tree), 0) + 1
+            return region_pass(tree, region)
+
         monkeypatch.setattr(FlatRBSTS, "_check_all", check_all)
+        monkeypatch.setattr(FlatRBSTS, "_check_region", check_region)
 
     def of(self, tree):
         return self.by_tree.get(id(tree), 0)
+
+    def regions_of(self, tree):
+        return self.regions_by_tree.get(id(tree), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,3 +474,46 @@ def test_pinned_reads_between_windows_keep_the_region_pass(monkeypatch):
             assert reader.total() == sum(session.values())
         session.batch_set([(k, k)])
     assert walks.of(tree) == 1
+
+
+# ---------------------------------------------------------------------------
+# serve windows
+# ---------------------------------------------------------------------------
+
+
+def test_one_request_windows_audit_their_region_not_the_tree(monkeypatch):
+    """A seeded write stream through the clock-free shard core at window
+    size 1, so the window count is deterministic.  Every window runs
+    exactly one supervised audit; full walks (construction, shortcut
+    threshold crossings) stay under 1/20 of the region passes.  A
+    supervisor that walks the whole tree after every window fails this
+    by two orders of magnitude on any machine."""
+    walks = FullWalks(monkeypatch)
+    policy = ServePolicy(
+        max_batch=1, resilience=ResiliencePolicy(ladder=("flat",))
+    )
+    shards = [
+        Shard(sid, MONOID, range(1, 65), seed=20100, policy=policy)
+        for sid in range(2)
+    ]
+    statuses = {}
+    specs = generate_specs(seed=20100, n_requests=800, n_shards=2)
+    for req_id, spec in enumerate(specs):
+        shard = shards[spec.shard]
+        args = spec_args(spec, len(shard))
+        req = Request(req_id, spec.shard, spec.kind, args)
+        if not req.is_write:
+            continue
+        assert shard.offer(req, 0.0) is None
+        window = shard.take_window()
+        assert len(window) == 1
+        for resp in shard.execute_window(window, 0.0).values():
+            statuses[resp.status] = statuses.get(resp.status, 0) + 1
+    # Every write committed: rejected requests are not audited work.
+    assert set(statuses) == {"applied"}
+    assert statuses["applied"] == sum(s.stats["windows"] for s in shards)
+    for shard in shards:
+        tree = shard.session._structure.tree
+        full, region = walks.of(tree), walks.regions_of(tree)
+        assert full + region == shard.stats["windows"]
+        assert full * 20 <= region, (shard.shard_id, full, region)
