@@ -95,58 +95,42 @@ lint:
 lint-effects:
 	$(PYTHON) -m repro.lint --effects
 
-## Differential fuzz smoke (the CI load): 3 seeds x 2000 ops per
-## scenario, both backends in lockstep, auditing after every op.
-## Exit 0 means zero invariant or oracle violations.  See TESTING.md.
+## Fuzzing: every target below is one call to the single driver,
+## `python -m repro.testing.fuzz <exercise>` (TESTING.md, "The fuzz
+## driver").  Exit 0 clean, 1 violation, 2 budget / coverage failure.
+FUZZ := $(PYTHON) -m repro.testing.fuzz
+
+## Differential fuzz smoke: 3 seeds x 2000 list ops (+200 contraction
+## ops), both backends in lockstep, auditing after every op.
 fuzz-smoke:
-	@for s in 0 1 2; do \
-		$(PYTHON) -m repro.testing.fuzz --seed $$s --ops 2000 --backend both --no-save || exit 1; \
-	done
+	$(FUZZ) differential --seed 0 --runs 3 --ops 2000 --backend both --no-save
 
-## Prove the fuzzer finds planted bugs and shrinks them (<= 12 ops).
+## Prove the fuzzer finds each planted bug and shrinks it (<= 12 ops).
 fuzz-selftest:
-	$(PYTHON) -m repro.testing.fuzz --self-test
+	$(FUZZ) self-test
 
-## Crash-consistency fuzz (the PR 3 CI load): 200 seeded batch-heavy
-## programs with mid-batch crash injection, both backends in lockstep.
-## Every fired crash must roll the structure back bit-for-bit (shape
-## signature, master-RNG state, last_batch_stats, self-invariants) and
-## then re-apply cleanly.  Exit 0 means every rollback audited clean.
+## Crash consistency: 200 batch-heavy list programs with mid-batch
+## crash injection; every fired crash must roll back bit-for-bit
+## (shape, master-RNG state, last_batch_stats, invariants) and re-apply.
 fuzz-crash:
-	$(PYTHON) -m repro.testing.fuzz --scenario list --seed 0 \
-		--crash-seed 0 --runs 200 --ops 80 --backend both --no-save
+	$(FUZZ) differential --scenario list --seed 0 --crash-seed 0 --runs 200 --ops 80 --backend both --no-save
 
-## Recovery fuzzing (the PR 5 CI load): 200 seeded programs under
-## runtime fault injection (dead processors, lost forks, hangs, torn
-## writes, bit flips, stale epochs).  Every run must classify as
-## clean / degraded / aborted-restored, --require-coverage asserts all
-## three classes appear, and budget guards bound the wall clock.  See
-## TESTING.md ("Recovery fuzzing") and DESIGN.md section 9.
+## Recovery under runtime faults: 200 programs must each classify as
+## clean / degraded / aborted-restored, and all three must appear.
 fuzz-faults:
-	$(PYTHON) -m repro.resilience.fuzz --seed 0 --runs 200 --ops 40 \
-		--no-save --require-coverage
+	$(FUZZ) recovery --seed 0 --runs 200 --ops 40 --no-save --require-coverage
 
-## Snapshot fuzzing (the PR 8 CI load): seeded crash + corruption
-## programs over the unified snapshot save/restore pipeline — the
-## differential rig (capture -> mutate -> restore -> replay), save
-## atomicity under injected crashes, torn-restore re-restore, and
-## corrupted-file recovery with taxonomy errors.  --require-coverage
-## asserts every exercise class (including fired save and restore
-## crashes) appears across the runs.  See TESTING.md.
+## Snapshot save/restore under injected crashes and file corruption:
+## 96 seeds of the rotating schedule, every class (fired save and
+## restore crashes included) must appear.
 fuzz-snapshots:
-	$(PYTHON) -m repro.snapshots.fuzz --seed 0 --runs 96 --require-coverage
+	$(FUZZ) snapshots --seed 0 --runs 96 --no-save --require-coverage
 
-## Serve-layer chaos fuzz (the PR 10 CI load): 40 seeded configs
-## sweeping faults, poison, overload, deadlines and truncated ladders
-## through the sharded batch-serving frontend.  Each config runs twice
-## (decision-digest determinism) on top of the per-run gate: no lost or
-## double-applied acked batch, oracle/invariant parity, quarantine
-## isolates exactly the poisoned requests.  --require-coverage asserts
-## all nine behaviour classes (shed, timeout, quarantine, breaker-open,
-## demotion, ...) appear across the batch.  See TESTING.md.
+## Serve-layer chaos: 40 seeded configs, each run twice for digest
+## determinism, gated on exactly-once acks, oracle parity and exact
+## quarantine; all nine behaviour classes must appear.
 fuzz-serve:
-	$(PYTHON) -m repro.serve.chaos --seed 0 --runs 40 --requests 150 \
-		--no-save --require-coverage
+	$(FUZZ) chaos --seed 0 --runs 40 --ops 150 --no-save --require-coverage
 
 ## Replay every pinned regression reproducer in tests/corpus/.
 corpus-replay:

@@ -29,6 +29,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -51,6 +52,8 @@ DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_PR7.json")
 BACKENDS = ("reference", "flat")
 REPEATS = 3
 SEEDS = (0, 1, 2)
+#: R1 repeats: its gated ratio is the median over these.
+R1_REPEATS = 9
 
 # The acceptance-gate cells: flat-over-reference speedup floors live in
 # ``regress.MIN_SPEEDUPS`` keyed by the same experiment names.
@@ -286,14 +289,18 @@ def run_cell(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
 
 def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
     """The resilience-overhead cell: like :func:`run_cell` but also
-    records ``overhead_ratio`` (supervised / bare wall-clock, both
-    best-of-``REPEATS``) as a top-level key — ``regress.py`` gates it at
-    1.10 so the checkpoint seam can never silently slow the fault-free
-    fast path by more than 10%."""
+    records ``overhead_ratio`` as a top-level key — ``regress.py`` gates
+    it at 1.10 so the checkpoint seam can never silently slow the
+    fault-free fast path by more than 10%.  The ratio is the median over
+    ``R1_REPEATS`` repeats of supervised / bare wall-clock, each repeat
+    timing both phases back to back: a best-of-3 on each side divides
+    timings taken seconds apart, and on a host whose speed drifts that
+    quotient tripped the ceiling on noise alone."""
     n, u = spec["n"], spec["u"]
     best_on = best_off = float("inf")
+    ratios: List[float] = []
     simulated: Dict[str, Any] = {}
-    for _ in range(REPEATS):
+    for _ in range(R1_REPEATS):
         total_on = total_off = 0.0
         sim_acc: Dict[str, Any] = {}
         for seed in SEEDS:
@@ -304,6 +311,7 @@ def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
                 sim_acc[k] = sim_acc.get(k, 0) + v
         best_on = min(best_on, total_on)
         best_off = min(best_off, total_off)
+        ratios.append(total_on / total_off)
         if simulated and simulated != sim_acc:
             raise RuntimeError(
                 f"non-deterministic simulated costs in {spec} ({backend}): "
@@ -316,7 +324,7 @@ def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
         "backend": backend,
         "wall_clock_s": round(best_on, 6),
         "bare_wall_clock_s": round(best_off, 6),
-        "overhead_ratio": round(best_on / best_off, 3),
+        "overhead_ratio": round(statistics.median(ratios), 3),
         "simulated": simulated,
     }
 

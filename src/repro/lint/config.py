@@ -610,13 +610,10 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
             "ResilienceReport entry — a resilience bug must be "
             "reported by the harness, not crash it"
         ),
-        "src/repro/snapshots/fuzz.py::fuzz_one": (
-            "crash-injection fuzzing classifies every outcome "
-            "(including taxonomy raises) as survive/die/diverge"
-        ),
-        "src/repro/testing/corpus.py::replay_corpus": (
-            "corpus replay records each case's outcome; a raising "
-            "case is a red verdict, not a replay abort"
+        "src/repro/testing/fuzz.py::_verdict": (
+            "the fuzz driver classifies every exercise run and corpus "
+            "replay; a raising case (taxonomy included) is a red "
+            "verdict, not a driver abort"
         ),
         "src/repro/testing/executor.py::run_sequence": (
             "the differential executor classifies construction and "

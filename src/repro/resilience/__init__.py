@@ -1,7 +1,7 @@
 """Fault-tolerant execution layer for the paper's machinery (PR 5).
 
 The repo can *detect* every failure class it knows about — planted code
-faults (:mod:`repro.testing.faults`), mid-batch crashes with bit-for-bit
+bugs (:mod:`repro.testing.planted`), mid-batch crashes with bit-for-bit
 rollback (:mod:`repro.transactions`), and step-discipline races
 (:mod:`repro.pram.sanitizer`).  This package makes runs *survive* them:
 
@@ -25,12 +25,13 @@ rollback (:mod:`repro.transactions`), and step-discipline races
     a graceful degradation ladder flat → reference → sequential oracle
     with recorded :class:`DegradationEvent`\\ s.
 
-``harness`` / ``fuzz`` / ``corpus``
-    End-to-end recovery fuzzing: seeded programs race injected faults
-    against recovery and every batch must (a) complete identically to
-    the fault-free oracle (RNG parity included), (b) complete on a lower
-    ladder rung with oracle-identical answers, or (c) abort with the
-    pre-batch state restored bit-for-bit.
+``harness``
+    End-to-end recovery fuzzing (the ``recovery`` exercise of
+    ``python -m repro.testing.fuzz``): seeded programs race injected
+    faults against recovery and every batch must (a) complete
+    identically to the fault-free oracle (RNG parity included), (b)
+    complete on a lower ladder rung with oracle-identical answers, or
+    (c) abort with the pre-batch state restored bit-for-bit.
 """
 
 from .executor import (

@@ -18,18 +18,25 @@ recovery contract of ISSUE 5: every operation either
     (checked against a snapshot taken immediately before the op).
 
 Any other behaviour is a :class:`RecoveryViolation` in the report.
+
+:data:`RECOVERY` is the ``recovery`` exercise of the fuzz driver
+(``python -m repro.testing.fuzz recovery``): seed ``s`` runs a
+``"faulty"``-profile program under :func:`plan_for_seed` and
+:func:`policy_for_seed`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..algebra.monoid import sum_monoid
 from ..errors import CorruptionDetectedError, RetryExhaustedError
 from ..pram.memory import WritePolicy
 from ..pram.ops import Fork, Program, Read, Write
+from ..testing.corpus import Exercise, Outcome, check_expect, entry, take
 from ..testing.executor import initial_values
+from ..testing.generator import generate
 from ..testing.ops import FUZZ_RINGS, OpSequence, norm_value
 from .executor import ResiliencePolicy, ResilientExecutor, ResilientListSession
 from .faults import (
@@ -41,8 +48,10 @@ from .faults import (
 )
 
 __all__ = [
+    "RECOVERY",
     "RecoveryViolation",
     "ResilienceReport",
+    "plan_for_seed",
     "policy_for_seed",
     "pram_sum",
     "run_resilience_program",
@@ -98,6 +107,14 @@ def policy_for_seed(seed: int) -> ResiliencePolicy:
     if seed % 5 == 3:
         return ResiliencePolicy(max_retries=1, ladder=("flat",))
     return ResiliencePolicy()
+
+
+def plan_for_seed(seed: int) -> FaultPlan:
+    """The fault plan the fuzzer uses for ``seed``.  Every third seed
+    draws only transient faults: recovery must then reconverge with the
+    fault-free run *exactly* (outcome a, RNG parity included) even
+    though faults did fire."""
+    return FaultPlan(seed, rate=0.35, sticky_rate=0.0 if seed % 3 == 2 else 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +414,94 @@ def _first_answer_divergence(
         f"answer count diverges from oracle: got {len(got)}, "
         f"want {len(want)}"
     )
+
+
+# ---------------------------------------------------------------------------
+# the fuzz exercise
+# ---------------------------------------------------------------------------
+
+
+def _classify(report: ResilienceReport) -> Outcome:
+    return Outcome(
+        ok=report.ok,
+        label=report.outcome,
+        classes=frozenset([report.outcome] if report.ok else []),
+        failure=report.failure,
+        line=(
+            f"{report.outcome:>8}  faults={len(report.faults)}  "
+            f"degradations={len(report.degradations)}  "
+            f"aborted={len(report.aborted_ops)}"
+        ),
+        detail=report,
+    )
+
+
+class _Recovery(Exercise):
+    name = "recovery"
+    coverage = ("clean", "degraded", "aborted")
+    default_size = 60
+
+    def run_seed(self, seed: int, size: int, **options: Any) -> Outcome:
+        return _classify(
+            run_resilience_program(
+                generate("list", seed, size, profile="faulty"),
+                plan=plan_for_seed(seed),
+                policy=policy_for_seed(seed),
+            )
+        )
+
+    def reproducer(
+        self, seed: int, size: int, outcome: Outcome, **options: Any
+    ) -> Dict[str, Any]:
+        policy = policy_for_seed(seed)
+        inp: Dict[str, Any] = {
+            "program": generate("list", seed, size, profile="faulty").to_json(),
+            "plan": plan_for_seed(seed).describe(),
+            "policy": {
+                "max_retries": policy.max_retries,
+                "ladder": list(policy.ladder),
+                "detect": policy.detect,
+            },
+        }
+        return entry(
+            self.name, inp, {"outcome": outcome.label}, outcome.failure or ""
+        )
+
+    def replay_entry(self, data: Mapping[str, Any]) -> Outcome:
+        inp = take(data["input"], ("program", "plan", "policy"), "input")
+        plan = take(
+            inp["plan"], ("seed", "rate", "persistence", "sticky_rate"), "plan"
+        )
+        policy = take(inp["policy"], ("max_retries", "ladder", "detect"), "policy")
+        report = run_resilience_program(
+            OpSequence.from_json(inp["program"]),
+            plan=FaultPlan(
+                int(plan["seed"]),
+                rate=float(plan["rate"]),
+                persistence=plan["persistence"],
+                sticky_rate=float(plan["sticky_rate"]),
+            ),
+            policy=ResiliencePolicy(
+                max_retries=int(policy["max_retries"]),
+                ladder=tuple(policy["ladder"]),
+                detect=policy["detect"],
+            ),
+        )
+        if report.ok:
+            check_expect(
+                data["expect"],
+                {
+                    "outcome": report.outcome,
+                    "min_faults": len(report.faults),
+                    "fault_substring": report.faults,
+                },
+                match={
+                    "fault_substring": lambda want, got: any(
+                        want in f for f in got
+                    )
+                },
+            )
+        return _classify(report)
+
+
+RECOVERY = _Recovery()

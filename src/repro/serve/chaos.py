@@ -1,7 +1,7 @@
 """Chaos harness: overload + faults + poison against the serving core.
 
-``python -m repro.serve.chaos`` (or :func:`chaos_one`) drives the
-*synchronous* serving core — :class:`~repro.serve.shard.Shard` under a
+:func:`run_chaos` drives the *synchronous* serving core —
+:class:`~repro.serve.shard.Shard` under a
 :class:`~repro.serve.clock.VirtualClock` — with a seeded request
 stream (:mod:`repro.serve.loadgen`) whose knobs plant every failure
 mode at once: Zipf-skewed overload bursts against bounded queues,
@@ -28,35 +28,24 @@ The gate (one run = one verdict):
   condensed into a decision digest (every response + final state) and
   the same config must produce the same digest twice.
 
-Exit codes mirror the other fuzzers: 0 clean, 1 contract violation
-(reproducer written to ``tests/corpus/`` with schema
-``repro-serve-corpus/1``), 2 usage / coverage failure.
-
-Examples::
-
-    PYTHONPATH=src python -m repro.serve.chaos --seed 0 --runs 40
-    PYTHONPATH=src python -m repro.serve.chaos --runs 40 --require-coverage
-    PYTHONPATH=src python -m repro.serve.chaos --replay tests/corpus/pinned-serve-quarantine.json
+:data:`CHAOS` is the ``chaos`` exercise of the fuzz driver
+(``python -m repro.testing.fuzz chaos``): seed ``s`` runs
+:func:`config_for_seed` twice.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
 import random
-import sys
-import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra.monoid import sum_monoid
 from ..algebra.rings import INTEGER
-from ..errors import InvalidParameterError
 from ..resilience.executor import ResiliencePolicy
 from ..resilience.faults import FaultPlan
-from ..testing.corpus import default_corpus_dir
+from ..testing.corpus import Exercise, Outcome, check_expect, entry, take
 from .clock import VirtualClock
 from .loadgen import RAW, PoisonPill, generate_specs, spec_args
 from .quarantine import _seq_apply
@@ -64,20 +53,13 @@ from .requests import Request, ServePolicy
 from .shard import Shard
 
 __all__ = [
-    "CORPUS_SCHEMA",
+    "CHAOS",
     "COVERAGE_CLASSES",
     "ChaosConfig",
     "ChaosReport",
     "config_for_seed",
     "run_chaos",
-    "chaos_one",
-    "save_serve_entry",
-    "load_serve_entry",
-    "replay_serve_entry",
-    "main",
 ]
-
-CORPUS_SCHEMA = "repro-serve-corpus/1"
 
 #: Behaviour classes ``--require-coverage`` demands across a batch of
 #: runs (each is reachable within a few dozen seeds of the default
@@ -144,7 +126,7 @@ class ChaosReport:
             f"{k}={v}" for k, v in sorted(self.statuses.items()) if v
         )
         return (
-            f"seed={self.config.seed} digest={self.digest} {parts}  "
+            f"digest={self.digest} {parts}  "
             f"rungs={'/'.join(self.rungs[s] for s in sorted(self.rungs))}"
         )
 
@@ -415,200 +397,67 @@ def _report(
     )
 
 
-def chaos_one(
-    seed: int,
-    n_requests: int = 200,
-    *,
-    config: Optional[ChaosConfig] = None,
-    save_dir: Optional[str] = None,
-    save: bool = True,
-    verbose: bool = True,
-) -> ChaosReport:
-    """One seeded chaos config, run TWICE: the second run must
-    reproduce the first's decision digest bit-for-bit (shed choices,
-    quarantine verdicts, final state — everything), on top of the
-    per-run gate.  Persists a reproducer on failure."""
-    cfg = config if config is not None else config_for_seed(seed, n_requests)
-    report = run_chaos(cfg)
-    rerun = run_chaos(cfg)
-    if report.ok and rerun.digest != report.digest:
-        report.ok = False
-        report.failure = (
-            f"nondeterministic: digest {report.digest} != rerun "
-            f"{rerun.digest} for identical config"
-        )
-    if verbose:
-        status = "ok" if report.ok else "FAIL"
-        print(f"[serve-chaos] {status:>4}  {report.describe()}")
-    if not report.ok:
-        if verbose:
-            print(f"[serve-chaos] violation: {report.failure}")
-        if save:
-            path = save_serve_entry(
-                cfg,
-                expect={
-                    "digest": report.digest,
-                    "statuses": report.statuses,
-                    "shed_ids": report.shed_ids,
-                    "quarantined_ids": report.quarantined_ids,
-                },
-                directory=save_dir,
-                prefix="serve-fail",
-                note=report.failure,
-            )
-            if verbose:
-                print(f"[serve-chaos] reproducer written to {path}")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# corpus round-trip (schema "repro-serve-corpus/1")
-# ---------------------------------------------------------------------------
-
-
-def save_serve_entry(
-    cfg: ChaosConfig,
-    expect: Dict[str, Any],
-    directory: Optional[str] = None,
-    *,
-    prefix: str = "pinned-serve",
-    note: str = "",
-) -> str:
-    """Write one replayable chaos entry; returns its path."""
-    directory = directory or default_corpus_dir()
-    os.makedirs(directory, exist_ok=True)
-    config = asdict(cfg)
-    config["ladder"] = list(config["ladder"])
-    body = {
-        "schema": CORPUS_SCHEMA,
-        "config": config,
-        "expect": expect,
-        "note": note,
+def _pinned(report: ChaosReport) -> Dict[str, Any]:
+    return {
+        "digest": report.digest,
+        "statuses": report.statuses,
+        "shed_ids": report.shed_ids,
+        "quarantined_ids": report.quarantined_ids,
     }
-    digest = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()
-    ).hexdigest()[:10]
-    path = os.path.join(directory, f"{prefix}-{digest}.json")
-    with open(path, "w") as fh:
-        json.dump(body, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
-def load_serve_entry(path: str) -> Tuple[ChaosConfig, Dict[str, Any]]:
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != CORPUS_SCHEMA:
-        raise InvalidParameterError(
-            f"{path}: schema {data.get('schema')!r} != {CORPUS_SCHEMA!r}"
-        )
-    config = dict(data["config"])
-    config["ladder"] = tuple(config["ladder"])
-    return ChaosConfig(**config), dict(data.get("expect", {}))
-
-
-def replay_serve_entry(path: str, *, verbose: bool = True) -> ChaosReport:
-    """Replay one corpus entry; the run must pass its gate AND
-    reproduce every pinned expectation (digest, shed/quarantine
-    decisions, status counts)."""
-    cfg, expect = load_serve_entry(path)
-    report = run_chaos(cfg)
-    checks = (
-        ("digest", report.digest),
-        ("statuses", report.statuses),
-        ("shed_ids", report.shed_ids),
-        ("quarantined_ids", report.quarantined_ids),
+def _classify(report: ChaosReport) -> Outcome:
+    return Outcome(
+        ok=report.ok,
+        label="clean",
+        classes=frozenset(
+            k for k, hit in report.observed.items()
+            if hit and k in COVERAGE_CLASSES
+        ),
+        failure=report.failure or None,
+        line=report.describe(),
+        detail=report,
     )
-    for key, got in checks:
-        want = expect.get(key)
-        if want is not None and got != want:
+
+
+class _Chaos(Exercise):
+    name = "chaos"
+    coverage = COVERAGE_CLASSES
+    default_size = 200
+
+    def run_seed(self, seed: int, size: int, **options: Any) -> Outcome:
+        """One seeded config, run TWICE: the second run must reproduce
+        the first's decision digest bit-for-bit (shed choices,
+        quarantine verdicts, final state — everything), on top of the
+        per-run gate."""
+        cfg = config_for_seed(seed, size)
+        report = run_chaos(cfg)
+        rerun = run_chaos(cfg)
+        if report.ok and rerun.digest != report.digest:
             report.ok = False
             report.failure = (
-                f"replay drift: {key} {got!r} != pinned {want!r}"
+                f"nondeterministic: digest {report.digest} != rerun "
+                f"{rerun.digest} for identical config"
             )
-            break
-    if verbose:
-        status = "ok" if report.ok else f"FAIL: {report.failure}"
-        print(f"[serve-replay] {os.path.basename(path)}: {status}")
-    return report
+        return _classify(report)
 
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.serve.chaos",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    ap.add_argument("--seed", type=int, default=0, help="first seed")
-    ap.add_argument(
-        "--runs", type=int, default=1, metavar="K",
-        help="run K consecutive seeds starting at --seed",
-    )
-    ap.add_argument(
-        "--requests", type=int, default=200, help="requests per run",
-    )
-    ap.add_argument(
-        "--replay", metavar="PATH", default=None,
-        help="replay one serve corpus JSON entry",
-    )
-    ap.add_argument(
-        "--save-dir", default=None,
-        help="where to write reproducers (default tests/corpus/)",
-    )
-    ap.add_argument(
-        "--no-save", action="store_true", help="do not write reproducers",
-    )
-    ap.add_argument(
-        "--require-coverage", action="store_true",
-        help="fail unless every behaviour class "
-        f"({', '.join(COVERAGE_CLASSES)}) was observed across the runs",
-    )
-    ap.add_argument("--quiet", action="store_true", help="summary line only")
-    args = ap.parse_args(argv)
-
-    if args.replay:
-        report = replay_serve_entry(args.replay)
-        return 0 if report.ok else 1
-
-    seen: Dict[str, bool] = {k: False for k in COVERAGE_CLASSES}
-    rc = 0
-    t0 = time.perf_counter()
-    for run in range(max(1, args.runs)):
-        report = chaos_one(
-            args.seed + run,
-            args.requests,
-            save_dir=args.save_dir,
-            save=not args.no_save,
-            verbose=not args.quiet,
+    def reproducer(
+        self, seed: int, size: int, outcome: Outcome, **options: Any
+    ) -> Dict[str, Any]:
+        config = asdict(config_for_seed(seed, size))
+        config["ladder"] = list(config["ladder"])
+        return entry(
+            self.name, {"config": config}, _pinned(outcome.detail),
+            outcome.failure or "",
         )
-        for key, hit in report.observed.items():
-            if key in seen and hit:
-                seen[key] = True
-        if not report.ok:
-            rc = 1
-    dt = time.perf_counter() - t0
-    hit = [k for k in COVERAGE_CLASSES if seen[k]]
-    print(
-        f"[serve-chaos] {max(1, args.runs)} runs in {dt:.1f}s: "
-        f"covered {len(hit)}/{len(COVERAGE_CLASSES)} classes "
-        f"({', '.join(hit)})"
-    )
-    if args.require_coverage and rc == 0:
-        missing = [k for k in COVERAGE_CLASSES if not seen[k]]
-        if missing:
-            print(
-                f"[serve-chaos] coverage failure: {'/'.join(missing)} never "
-                "observed — widen --runs",
-                file=sys.stderr,
-            )
-            return 2
-    return rc
+
+    def replay_entry(self, data: Mapping[str, Any]) -> Outcome:
+        config = dict(take(data["input"], ("config",), "input")["config"])
+        config["ladder"] = tuple(config["ladder"])
+        report = run_chaos(ChaosConfig(**config))
+        if report.ok:
+            check_expect(data["expect"], _pinned(report))
+        return _classify(report)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+CHAOS = _Chaos()

@@ -6,7 +6,7 @@ slab epochs are thin wrappers over it — plus a schema-versioned,
 per-column checksummed on-disk format with atomic writes and a
 torn-file corruption taxonomy.  See :mod:`repro.snapshots.core` and
 :mod:`repro.snapshots.persist` for the mechanics and
-:mod:`repro.snapshots.fuzz` for the seeded crash+corruption driver
+:mod:`repro.snapshots.fuzz` for the seeded crash+corruption exercises
 (``make fuzz-snapshots``).
 """
 

@@ -1,8 +1,10 @@
-"""CLI entry point: ``python -m repro.snapshots.fuzz``.
+"""Snapshot fuzzing: seeded crash + corruption programs over the
+unified snapshot save/restore pipeline.
 
-Snapshot fuzzing (PR 8): seeded crash + corruption programs over the
-unified snapshot save/restore pipeline.  Each seed runs one exercise
-from a rotating schedule on a rotating backend (reference / flat):
+:data:`SNAPSHOTS` is the ``snapshots`` exercise of the fuzz driver
+(``python -m repro.testing.fuzz snapshots``).  Each seed runs one
+exercise from a rotating schedule on a rotating backend (reference /
+flat):
 
 * ``differential`` — a generated list program replayed through the
   executor's snapshot differential rig (capture -> mutate -> restore ->
@@ -22,28 +24,18 @@ from a rotating schedule on a rotating backend (reference / flat):
   right taxonomy error and :func:`~repro.snapshots.persist.load_newest`
   must fall back to the older intact file while reporting the damage.
 
-Contract violations raise (and exit 1); ``--require-coverage`` fails
-unless every exercise class — including at least one *fired* save
-crash and restore crash — was observed across the runs.
-
-Examples::
-
-    PYTHONPATH=src python -m repro.snapshots.fuzz --seed 0 --runs 24
-    PYTHONPATH=src python -m repro.snapshots.fuzz --runs 48 --require-coverage
-
-Exit codes: 0 clean, 1 contract violation, 2 usage / coverage failure.
+Contract violations raise; ``--require-coverage`` fails unless every
+exercise class — including at least one *fired* save crash and restore
+crash — was observed across the runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
-import sys
 import tempfile
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Mapping
 
 from ..algebra.monoid import sum_monoid
 from ..algebra.rings import INTEGER
@@ -53,20 +45,22 @@ from ..errors import (
     SnapshotFormatError,
 )
 from ..listprefix.structure import IncrementalListPrefix
+from ..testing.corpus import Exercise, Outcome, check_expect, entry, take
 from ..testing.crashes import CrashController, CrashInjected, snapshot_crash_points
+from ..testing.executor import run_sequence
 from ..testing.generator import generate
+from ..testing.ops import OpSequence
 from ..testing.oracles import shape_signature
 from .core import SnapshotState
 from .persist import load, load_newest, save
 
 __all__ = [
     "EXERCISES",
+    "SNAPSHOTS",
     "exercise_corruption",
     "exercise_differential",
     "exercise_restore_crash",
     "exercise_save_crash",
-    "fuzz_one",
-    "main",
     "run_exercise",
     "states_equal",
 ]
@@ -149,8 +143,6 @@ def _scratch(backend: str) -> IncrementalListPrefix:
 
 
 def exercise_differential(seed: int, backend: str) -> str:
-    from ..testing.executor import run_sequence
-
     # The schedule hands this exercise every len(_SCHEDULE)-th seed, so
     # derive the mode from the schedule round, not the raw seed parity.
     mode = "persist" if (seed // 4) % 2 else "state"
@@ -317,14 +309,6 @@ EXERCISES = {
 
 _SCHEDULE = ("differential", "save-crash", "restore-crash", "corruption")
 
-#: Outcome prefixes --require-coverage demands at least one of each.
-_COVERAGE = (
-    "differential",
-    "save-crash",
-    "restore-crash",
-    "corruption",
-)
-
 
 def run_exercise(name: str, seed: int, *, backend: str = "flat") -> str:
     """Run one named exercise; raises on any contract violation and
@@ -337,81 +321,79 @@ def run_exercise(name: str, seed: int, *, backend: str = "flat") -> str:
     return EXERCISES[name](seed, backend)
 
 
-def fuzz_one(seed: int, *, verbose: bool = True) -> Tuple[str, Optional[str]]:
-    """One seeded run of the rotating exercise/backend schedule; returns
-    ``(outcome, failure-or-None)``."""
-    name = _SCHEDULE[seed % len(_SCHEDULE)]
-    backend = BACKENDS[(seed // len(_SCHEDULE)) % len(BACKENDS)]
-    t0 = time.perf_counter()
-    try:
-        outcome = run_exercise(name, seed, backend=backend)
-        failure = None
-    except Exception as exc:
-        outcome = f"{name}-FAILED"
-        failure = f"{type(exc).__name__}: {exc}"
-    dt = time.perf_counter() - t0
-    if verbose:
-        status = "ok" if failure is None else "FAIL"
-        print(
-            f"[snapshots] {status:>4}  seed={seed}  {backend:>9}  "
-            f"{outcome}  {dt:.2f}s"
+def _scheduled(seed: int) -> Dict[str, Any]:
+    return {
+        "snapshot_exercise": _SCHEDULE[seed % len(_SCHEDULE)],
+        "exercise_seed": seed,
+        "exercise_backend": BACKENDS[(seed // len(_SCHEDULE)) % len(BACKENDS)],
+    }
+
+
+def _classify(outcome: str, backend: str, report: Any = None) -> Outcome:
+    # An overshoot (the armed crash never fired) covers nothing.
+    classes = frozenset(
+        name for name in _SCHEDULE
+        if outcome.startswith(name) and "overshoot" not in outcome
+    )
+    return Outcome(
+        ok=True, label=outcome, classes=classes,
+        line=f"{backend:>9}  {outcome}", detail=report,
+    )
+
+
+class _Snapshots(Exercise):
+    name = "snapshots"
+    coverage = _SCHEDULE
+    default_size = 20
+
+    def run_seed(self, seed: int, size: int, **options: Any) -> Outcome:
+        s = _scheduled(seed)
+        outcome = run_exercise(
+            s["snapshot_exercise"], seed, backend=s["exercise_backend"]
         )
-        if failure is not None:
-            print(f"[snapshots] violation: {failure}")
-    return outcome, failure
+        return _classify(outcome, s["exercise_backend"])
 
+    def reproducer(
+        self, seed: int, size: int, outcome: Outcome, **options: Any
+    ) -> Dict[str, Any]:
+        return entry(self.name, _scheduled(seed), note=outcome.failure or "")
 
-def main(argv: Optional[List[str]] = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.snapshots.fuzz",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    ap.add_argument("--seed", type=int, default=0, help="first seed")
-    ap.add_argument(
-        "--runs", type=int, default=12, metavar="K",
-        help="fuzz K consecutive seeds starting at --seed",
-    )
-    ap.add_argument(
-        "--require-coverage", action="store_true",
-        help="fail unless every exercise class (differential, fired "
-        "save-crash, fired restore-crash, corruption-recovered) was "
-        "observed across the runs",
-    )
-    ap.add_argument("--quiet", action="store_true", help="summary line only")
-    args = ap.parse_args(argv)
-
-    tally: Dict[str, int] = {}
-    rc = 0
-    t0 = time.perf_counter()
-    for run in range(max(1, args.runs)):
-        outcome, failure = fuzz_one(args.seed + run, verbose=not args.quiet)
-        tally[outcome] = tally.get(outcome, 0) + 1
-        if failure is not None:
-            rc = 1
-    dt = time.perf_counter() - t0
-    print(
-        f"[snapshots] {max(1, args.runs)} runs in {dt:.1f}s: "
-        + "  ".join(f"{k}={v}" for k, v in sorted(tally.items()))
-    )
-    if args.require_coverage and rc == 0:
-        missing = [
-            want
-            for want in _COVERAGE
-            if not any(
-                k.startswith(want) and not k.endswith("FAILED") and "overshoot" not in k
-                for k in tally
+    def replay_entry(self, data: Mapping[str, Any]) -> Outcome:
+        """An optional ``program`` first runs through the differential
+        rig (``snapshot_seed``/``snapshot_mode``) on ``backend``; then
+        the named exercise runs."""
+        inp = take(
+            data["input"],
+            (
+                "program", "backend", "snapshot_seed", "snapshot_mode",
+                "snapshot_exercise", "exercise_seed", "exercise_backend",
+            ),
+            "input",
+        )
+        report = None
+        if "program" in inp:
+            report = run_sequence(
+                OpSequence.from_json(inp["program"]),
+                backend=inp["backend"],
+                snapshot_seed=inp["snapshot_seed"],
+                snapshot_mode=inp["snapshot_mode"],
             )
-        ]
-        if missing:
-            print(
-                f"[snapshots] coverage failure: no {'/'.join(missing)} "
-                "outcome observed — widen --runs",
-                file=sys.stderr,
-            )
-            return 2
-    return rc
+            if not report.ok:
+                return Outcome(
+                    False, "FAILED", failure=str(report.failure), detail=report
+                )
+        backend = inp["exercise_backend"]
+        outcome = run_exercise(
+            inp["snapshot_exercise"], int(inp["exercise_seed"]), backend=backend
+        )
+        check_expect(
+            data["expect"],
+            {
+                "min_snapshots": 0 if report is None else report.snapshots,
+                "exercise_outcome": outcome,
+            },
+        )
+        return _classify(outcome, backend, report)
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+SNAPSHOTS = _Snapshots()

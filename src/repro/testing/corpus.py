@@ -1,16 +1,24 @@
-"""The replayable regression corpus under ``tests/corpus/``.
+"""The corpus schema and the exercise protocol behind the fuzz driver.
 
-Every shrunk fuzz failure is written here as a JSON file; the replay
-test (``tests/testing/test_corpus_replay.py``) re-runs each entry on
-every test run, so a once-found bug can never silently return.  Entry
-metadata records the failure that produced it and the fuzzer revision.
+Every file in ``tests/corpus/`` is one ``repro-corpus/1`` entry::
 
-Workflow (see TESTING.md):
+    {"schema": "repro-corpus/1", "exercise": "<name>",
+     "input": {...}, "expect": {...}, "note": "..."}
 
-1. ``python -m repro.testing.fuzz ...`` finds a violation, shrinks it
-   and drops ``shrunk-<scenario>-<digest>.json`` into the corpus;
-2. fix the bug;
-3. commit the fix *and* the corpus file — the replay test now pins it.
+``exercise`` names the :class:`Exercise` that replays it
+(:data:`repro.testing.fuzz.EXERCISES`), ``input`` is everything the
+run depends on, and ``expect`` lists the clauses the replay must
+reproduce on top of replaying clean.  An unknown ``input`` key or
+``expect`` clause is an error, so a misspelt entry cannot pass
+silently.
+
+An exercise is generate → run → audit → classify for one seed:
+:meth:`Exercise.run_seed` returns an :class:`Outcome`,
+:meth:`Exercise.reproducer` turns a failing seed into a corpus entry
+and :meth:`Exercise.replay_entry` re-runs an entry and asserts its
+``expect`` clauses.  (The method names are distinct from ``run`` and
+``replay`` because the effects pass resolves ``x.run()`` to every
+method of that name, ``Machine.run`` included.)
 """
 
 from __future__ import annotations
@@ -18,143 +26,162 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
+)
 
-from .executor import RunReport, run_sequence
-from .ops import SCHEMA, OpSequence
+from ..errors import InvalidParameterError
 
 __all__ = [
-    "default_corpus_dir",
-    "save_entry",
-    "load_entry",
+    "SCHEMA",
+    "Exercise",
+    "Outcome",
+    "check_expect",
     "corpus_paths",
-    "replay_corpus",
+    "default_corpus_dir",
+    "entry",
+    "load_entry",
+    "save_entry",
+    "take",
 ]
+
+SCHEMA = "repro-corpus/1"
+_KEYS = ("schema", "exercise", "input", "expect", "note")
+
+
+@dataclass
+class Outcome:
+    """The classified result of one exercise run or replay."""
+
+    ok: bool
+    #: Tally key for this run (e.g. ``"degraded"``, ``"save-crash"``).
+    label: str
+    #: Coverage classes this run witnessed.
+    classes: FrozenSet[str] = frozenset()
+    failure: Optional[str] = None
+    #: One line for the per-seed log.
+    line: str = ""
+    #: The exercise's own report (RunReport, ResilienceReport, ...).
+    detail: Any = None
+
+
+class Exercise:
+    """One fuzzable property.  Subclasses set the class attributes and
+    implement the three methods."""
+
+    name: str = ""
+    #: Classes ``--require-coverage`` demands across a batch of runs.
+    coverage: Tuple[str, ...] = ()
+    #: ``--ops`` when not given.
+    default_size: int = 1
+    #: Driver options (beyond seed and size) :meth:`run_seed` accepts.
+    options: FrozenSet[str] = frozenset()
+
+    def run_seed(self, seed: int, size: int, **options: Any) -> Outcome:
+        raise NotImplementedError
+
+    def reproducer(
+        self, seed: int, size: int, outcome: Outcome, **options: Any
+    ) -> Dict[str, Any]:
+        """The corpus entry that replays the failing run of ``seed``."""
+        raise NotImplementedError
+
+    def replay_entry(self, data: Mapping[str, Any]) -> Outcome:
+        """Re-run a loaded entry; raises AssertionError when an
+        ``expect`` clause does not hold."""
+        raise NotImplementedError
+
+
+def entry(
+    exercise: str,
+    input: Dict[str, Any],
+    expect: Optional[Dict[str, Any]] = None,
+    note: str = "",
+) -> Dict[str, Any]:
+    return {
+        "schema": SCHEMA,
+        "exercise": exercise,
+        "input": input,
+        "expect": dict(expect or {}),
+        "note": note,
+    }
+
+
+def take(
+    mapping: Mapping[str, Any], allowed: Iterable[str], what: str
+) -> Mapping[str, Any]:
+    """``mapping`` itself, after checking it holds only ``allowed`` keys."""
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise InvalidParameterError(f"unknown {what} key(s) {unknown}")
+    return mapping
+
+
+def check_expect(
+    expect: Mapping[str, Any],
+    got: Mapping[str, Any],
+    match: Optional[Mapping[str, Callable[[Any, Any], bool]]] = None,
+) -> None:
+    """Assert every ``expect`` clause against ``got`` (same keys).
+    ``min_*`` clauses are lower bounds, ``match`` supplies other
+    comparisons by key, and every remaining clause must be equal."""
+    take(expect, got, "expect")
+    for key, want in sorted(expect.items()):
+        have = got[key]
+        if match is not None and key in match:
+            held = match[key](want, have)
+        elif key.startswith("min_"):
+            held = have >= want
+        else:
+            held = have == want
+        if not held:
+            raise AssertionError(f"expect {key}={want!r} not met: got {have!r}")
 
 
 def default_corpus_dir() -> str:
     """``tests/corpus`` relative to the repository root when it exists,
-    else relative to the current directory (CLI convenience)."""
+    else relative to the current directory."""
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.abspath(os.path.join(here, "..", "..", ".."))
-    candidate = os.path.join(root, "tests", "corpus")
     if os.path.isdir(os.path.join(root, "tests")):
-        return candidate
+        return os.path.join(root, "tests", "corpus")
     return os.path.join(os.getcwd(), "tests", "corpus")
 
 
-def _digest(seq: OpSequence) -> str:
-    body = json.dumps(
-        [seq.scenario, seq.seed, seq.n0, seq.ring, seq.ops], sort_keys=True
-    )
-    return hashlib.sha256(body.encode()).hexdigest()[:10]
-
-
-def save_entry(
-    seq: OpSequence,
-    directory: Optional[str] = None,
-    *,
-    prefix: str = "shrunk",
-    failure: Optional[str] = None,
-    extra_meta: Optional[Dict] = None,
-) -> str:
-    """Write ``seq`` into the corpus; returns the file path."""
-    directory = directory or default_corpus_dir()
-    os.makedirs(directory, exist_ok=True)
-    meta = dict(seq.meta)
-    if failure is not None:
-        meta["original_failure"] = failure
-    if extra_meta:
-        meta.update(extra_meta)
-    entry = seq.with_ops(seq.ops)
-    entry.meta = meta
-    path = os.path.join(
-        directory, f"{prefix}-{seq.scenario}-{_digest(seq)}.json"
-    )
-    with open(path, "w") as fh:
-        fh.write(entry.dumps())
-        fh.write("\n")
-    return path
-
-
-def load_entry(path: str) -> OpSequence:
-    with open(path) as fh:
-        return OpSequence.loads(fh.read())
-
-
-def corpus_paths(
-    directory: Optional[str] = None, *, schema: Optional[str] = None
-) -> List[str]:
-    """JSON entries in the corpus directory whose ``schema`` field matches
-    ``schema`` (default: the fuzz-corpus schema).  ``tests/corpus`` is
-    shared with the resilience corpus (``repro.resilience.corpus``), so
-    each replay suite filters to its own schema instead of globbing."""
-    directory = directory or default_corpus_dir()
-    wanted = SCHEMA if schema is None else schema
+def corpus_paths() -> List[str]:
+    directory = default_corpus_dir()
     if not os.path.isdir(directory):
         return []
-    out = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(data, dict) and data.get("schema") == wanted:
-            out.append(path)
-    return out
+    return [
+        os.path.join(directory, name)
+        for name in sorted(os.listdir(directory))
+        if name.endswith(".json")
+    ]
 
 
-def replay_corpus(
-    directory: Optional[str] = None,
-    *,
-    backend: str = "both",
-) -> List[Tuple[str, RunReport]]:
-    """Re-run every corpus entry; entries must replay *clean* (they
-    capture formerly-failing programs whose bugs are fixed).
+def load_entry(path: str) -> Dict[str, Any]:
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
+        raise InvalidParameterError(f"{path}: not a {SCHEMA} entry")
+    take(data, _KEYS, "entry")
+    missing = sorted(set(_KEYS) - set(data))
+    if missing:
+        raise InvalidParameterError(f"{path}: missing key(s) {missing}")
+    return data
 
-    Entries carrying a ``crash_seed`` in their metadata re-arm the same
-    mid-batch crash schedule, so crash-consistent rollback reproducers
-    stay pinned too.  Entries carrying a ``snapshot_seed`` (optionally
-    with a ``snapshot_mode``) re-arm the snapshot differential rig, and
-    a ``snapshot_exercise`` additionally runs the named persistence
-    exercise from :mod:`repro.snapshots.fuzz` (save-crash /
-    restore-crash / corruption) — an exercise violation is recorded as
-    the entry's failure."""
-    out: List[Tuple[str, RunReport]] = []
-    for path in corpus_paths(directory):
-        seq = load_entry(path)
-        requested = seq.meta.get("backend", backend)
-        crash = seq.meta.get("crash_seed")
-        report = run_sequence(
-            seq,
-            backend=requested,
-            crash_seed=crash,
-            snapshot_seed=seq.meta.get("snapshot_seed"),
-            snapshot_mode=seq.meta.get("snapshot_mode", "state"),
-        )
-        exercise = seq.meta.get("snapshot_exercise")
-        if exercise is not None and report.ok:
-            from ..snapshots.fuzz import run_exercise  # lazy: optional leg
 
-            try:
-                run_exercise(
-                    exercise,
-                    int(seq.meta.get("exercise_seed", seq.seed)),
-                    backend=seq.meta.get("exercise_backend", "flat"),
-                )
-            except Exception as exc:
-                from .executor import FailureInfo
-
-                report.failure = FailureInfo(
-                    -1,
-                    None,
-                    "snapshot-exercise",
-                    type(exc).__name__,
-                    str(exc),
-                )
-        out.append((path, report))
-    return out
+def save_entry(data: Dict[str, Any]) -> str:
+    """Write ``data`` into the corpus as ``<exercise>-<digest>.json``;
+    returns the path."""
+    directory = default_corpus_dir()
+    os.makedirs(directory, exist_ok=True)
+    digest = hashlib.sha256(
+        json.dumps(data["input"], sort_keys=True).encode()
+    ).hexdigest()[:10]
+    path = os.path.join(directory, f"{data['exercise']}-{digest}.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path

@@ -122,12 +122,12 @@ def initial_values(seq: OpSequence) -> List[Any]:
     return [norm_value(seq.ring, rng.randrange(_RAW)) for _ in range(seq.n0)]
 
 
-def _fault_context(fault: Optional[str]):
-    if fault is None:
+def _planted_context(planted: Optional[str]):
+    if planted is None:
         return nullcontext()
-    from .faults import FAULTS  # local import: faults patches core classes
+    from .planted import PLANTED  # local import: planting patches core classes
 
-    return FAULTS[fault].activate()
+    return PLANTED[planted].activate()
 
 
 def run_sequence(
@@ -135,7 +135,7 @@ def run_sequence(
     *,
     backend: str = "both",
     check_every: int = 1,
-    fault: Optional[str] = None,
+    planted: Optional[str] = None,
     oracle: str = "recompute",
     crash_seed: Optional[int] = None,
     snapshot_seed: Optional[int] = None,
@@ -198,7 +198,7 @@ def run_sequence(
             random.Random(("snapshot", snapshot_seed).__repr__()),
             snapshot_mode,
         )
-    with _fault_context(fault), crash_ctx:
+    with _planted_context(planted), crash_ctx:
         try:
             machine = runner(seq, backend, oracle, crash_cfg, snap_cfg)
         except Exception as exc:  # construction failure

@@ -50,8 +50,6 @@ __all__ = [
     "norm_value",
 ]
 
-SCHEMA = "repro-fuzz-corpus/1"
-
 #: Rings the fuzzer drives (hypothesis covers the exotic ones).
 #: ``boolean`` is non-numeric on purpose: its ``add``/``mul`` are
 #: ``or``/``and`` with no NumPy mapping (see
@@ -125,7 +123,6 @@ class OpSequence:
     # -- JSON round trip --------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
         return {
-            "schema": SCHEMA,
             "scenario": self.scenario,
             "seed": self.seed,
             "n0": self.n0,
@@ -139,10 +136,6 @@ class OpSequence:
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "OpSequence":
-        if data.get("schema") != SCHEMA:
-            raise InvalidParameterError(
-                f"unrecognised corpus schema {data.get('schema')!r}"
-            )
         return cls(
             scenario=data["scenario"],
             seed=int(data["seed"]),

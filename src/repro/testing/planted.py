@@ -1,14 +1,18 @@
-"""Fault injection — the fuzzer's self-verification.
+"""Planted bugs — the fuzzer's self-verification.
 
-Each fault *flips one known bookkeeping update* in the core (skips a
-metadata repair, forgets to recycle a slot, …).  The ``--self-test``
-mode of :mod:`repro.testing.fuzz` activates each fault in turn and
-asserts that the fuzzer (a) detects it within a few seeds and (b)
+Each planted bug *flips one known bookkeeping update* in the core
+(skips a metadata repair, forgets to recycle a slot, …).  The
+``self-test`` mode of :mod:`repro.testing.fuzz` plants each bug in turn
+and asserts that the fuzzer (a) detects it within a few seeds and (b)
 shrinks the failing program to a near-minimal reproducer — proving the
 oracles actually watch the invariants they claim to watch.
 
-Faults are installed by monkey-patching the target method for the
-duration of a ``with FAULTS[name].activate():`` block and are always
+(Runtime *faults* — dead processors, torn writes, bit flips — are a
+different thing: :mod:`repro.resilience.faults` injects them into
+correct code to exercise recovery.)
+
+Bugs are installed by monkey-patching the target method for the
+duration of a ``with PLANTED[name].activate():`` block and are always
 restored, so they can never leak into other tests.
 """
 
@@ -23,18 +27,18 @@ from ..splitting.rbsts import RBSTS
 from ..splitting.shortcuts import shortcuts_from_path
 from ..transactions import FlatJournal, ReferenceJournal
 
-__all__ = ["Fault", "FAULTS"]
+__all__ = ["PlantedBug", "PLANTED"]
 
 
 @dataclass(frozen=True)
-class Fault:
+class PlantedBug:
     """A named, reversible corruption of one bookkeeping update."""
 
     name: str
     description: str
     detected_by: str  # which oracle phase is expected to fire
     _install: Callable[[], Callable[[], None]]
-    #: Journal faults only manifest when a mid-batch crash actually
+    #: Journal bugs only manifest when a mid-batch crash actually
     #: triggers a rollback — the self-test must arm crash injection
     #: (``crash_seed``) for these.
     needs_crash: bool = False
@@ -59,7 +63,7 @@ def _patch(cls, attr: str, replacement) -> Callable[[], None]:
 
 
 # ---------------------------------------------------------------------------
-# the faults
+# the planted bugs
 # ---------------------------------------------------------------------------
 
 
@@ -122,7 +126,7 @@ def _install_ref_stale_height() -> Callable[[], None]:
 
 
 # ---------------------------------------------------------------------------
-# journal faults (PR 3) — each forgets one pre-image class, so a
+# journal bugs (PR 3) — each forgets one pre-image class, so a
 # mid-batch crash rolls back to a *wrong* state.  Only the crash-armed
 # self-test can see them: with no crash, the journal is write-only.
 # ---------------------------------------------------------------------------
@@ -171,38 +175,38 @@ def _install_flat_journal_drops_free_tail() -> Callable[[], None]:
     return _patch(FlatJournal, "note_free_pops", popless_note)
 
 
-FAULTS: Dict[str, Fault] = {
+PLANTED: Dict[str, PlantedBug] = {
     f.name: f
     for f in (
-        Fault(
+        PlantedBug(
             "flat-skip-upward-repair",
             "FlatRBSTS._update_upward becomes a no-op (single-request "
             "path loses n_leaves/height/summary repair)",
             "model/invariants",
             _install_flat_skip_upward,
         ),
-        Fault(
+        PlantedBug(
             "flat-stale-summary",
             "FlatRBSTS._levelized_repair skips the SUM_v recompute "
             "(batch path loses §3 summary maintenance)",
             "twins/invariants",
             _install_flat_stale_summary,
         ),
-        Fault(
+        PlantedBug(
             "flat-slab-leak",
             "FlatRBSTS._free_slot never recycles the slot "
             "(slab-hygiene invariant)",
             "invariants",
             _install_flat_slab_leak,
         ),
-        Fault(
+        PlantedBug(
             "ref-stale-height",
             "RBSTS._update_upward forgets the height update "
             "(single-request path)",
             "invariants/twins",
             _install_ref_stale_height,
         ),
-        Fault(
+        PlantedBug(
             "ref-journal-drops-meta",
             "ReferenceJournal.record_meta becomes a no-op (rollback "
             "leaves stale ancestor bookkeeping after a crash)",
@@ -210,7 +214,7 @@ FAULTS: Dict[str, Fault] = {
             _install_ref_journal_drops_meta,
             needs_crash=True,
         ),
-        Fault(
+        PlantedBug(
             "ref-journal-drops-items",
             "ReferenceJournal.record_items becomes a no-op (crashed "
             "bset rolls back structure but not labels)",
@@ -218,7 +222,7 @@ FAULTS: Dict[str, Fault] = {
             _install_ref_journal_drops_items,
             needs_crash=True,
         ),
-        Fault(
+        PlantedBug(
             "flat-journal-drops-slots",
             "FlatJournal.save_slot becomes a no-op (rollback misses "
             "every per-slot pre-image)",
@@ -226,7 +230,7 @@ FAULTS: Dict[str, Fault] = {
             _install_flat_journal_drops_slots,
             needs_crash=True,
         ),
-        Fault(
+        PlantedBug(
             "flat-journal-drops-free-tail",
             "FlatJournal.note_free_pops becomes a no-op (recycled "
             "slots orphaned after a crashed batch)",

@@ -17,7 +17,7 @@ Passes, repeated to a fixed point under a replay budget:
 
 The predicate is any callable ``fails(seq) -> bool``; the fuzzer passes
 a closure over :func:`repro.testing.executor.run_sequence` (optionally
-with an active fault).
+with a planted bug).
 """
 
 from __future__ import annotations

@@ -57,5 +57,5 @@ def test_fuzz_drivers_reject_parallel():
     with pytest.raises(InvalidParameterError):
         run_exercise("differential", 0, backend=RETIRED)
     with pytest.raises(SystemExit) as exc:
-        fuzz_main(["--backend", RETIRED, "--no-save"])
+        fuzz_main(["differential", "--backend", RETIRED, "--no-save"])
     assert exc.value.code == 2

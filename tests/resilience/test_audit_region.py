@@ -27,26 +27,19 @@ from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
 from repro.errors import MachineHangError, TreeStructureError
 from repro.perf.flat_rbsts import FlatRBSTS
-from repro.resilience.corpus import replay_resilience_corpus
 from repro.resilience.executor import ResiliencePolicy, ResilientListSession
 from repro.resilience.faults import TREE_FAULT_KINDS, plant_metadata_damage
-from repro.resilience.fuzz import fuzz_one
-from repro.serve.chaos import (
-    CORPUS_SCHEMA,
-    config_for_seed,
-    replay_serve_entry,
-    run_chaos,
-)
+from repro.resilience.harness import RECOVERY
+from repro.serve.chaos import config_for_seed, run_chaos
 from repro.serve.loadgen import generate_specs, spec_args
 from repro.serve.requests import Request, ServePolicy
 from repro.serve.shard import Shard
 from repro.snapshots.core import SnapshotState
 from repro.snapshots.persist import load, save
-from repro.testing.corpus import corpus_paths, default_corpus_dir
+from repro.testing.corpus import corpus_paths, load_entry
+from repro.testing.fuzz import replay
 
 MONOID = sum_monoid(INTEGER)
-HERE = os.path.dirname(os.path.abspath(__file__))
-CORPUS = os.path.join(HERE, "..", "corpus")
 
 
 def _verdict(fn):
@@ -139,8 +132,8 @@ def test_region_verdict_matches_full_walk_under_recovery_fuzz(
 ):
     parity = Parity(monkeypatch)
     for seed in seeds:
-        report = fuzz_one(seed, 40, save=False, verbose=False)
-        assert report.ok, f"seed {seed}: {report.failure}"
+        outcome = RECOVERY.run_seed(seed, 40)
+        assert outcome.ok, f"seed {seed}: {outcome.failure}"
     parity.assert_held()
     assert parity.raised > 0, "no injected fault reached an audit"
 
@@ -156,15 +149,14 @@ def test_region_verdict_matches_full_walk_under_serve_chaos(monkeypatch):
 
 def test_region_verdict_matches_full_walk_on_pinned_corpus(monkeypatch):
     parity = Parity(monkeypatch)
-    results = replay_resilience_corpus(CORPUS)
-    assert len(results) >= 4
-    for path, report, _expect in results:
-        assert report.ok, f"{os.path.basename(path)}: {report.failure}"
-    serve = corpus_paths(default_corpus_dir(), schema=CORPUS_SCHEMA)
-    assert len(serve) == 4
-    for path in serve:
-        report = replay_serve_entry(path, verbose=False)
-        assert report.ok, f"{os.path.basename(path)}: {report.failure}"
+    paths = [
+        p for p in corpus_paths()
+        if load_entry(p)["exercise"] in ("recovery", "chaos")
+    ]
+    assert len(paths) == 8
+    for path in paths:
+        outcome = replay(path)
+        assert outcome.ok, f"{os.path.basename(path)}: {outcome.failure}"
     parity.assert_held()
 
 

@@ -1,62 +1,44 @@
-"""Replay of the pinned ``fault-recovery-*`` corpus entries (schema
-``repro-resilience-corpus/1``): each must still *fire* its fault family
-and still land in its recorded outcome class — a recovery regression
-can never silently degenerate into a fault-free no-op."""
+"""Cross-entry checks on the pinned ``recovery`` corpus entries.
+
+Each entry's own clauses (outcome class, fired fault family, fault
+count) are asserted by the unified replay
+(``tests/testing/test_corpus_replay.py``); here the corpus as a whole
+must pin one reproducer per fault family, and replay must be
+deterministic — a recovery regression can never silently degenerate
+into a fault-free no-op."""
 
 from __future__ import annotations
 
-import json
-import os
+from repro.testing.corpus import corpus_paths, load_entry
+from repro.testing.fuzz import replay
 
-from repro.resilience.corpus import (
-    RESILIENCE_SCHEMA,
-    replay_resilience_corpus,
-    resilience_corpus_paths,
-)
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-CORPUS = os.path.join(HERE, "..", "corpus")
+PATHS = [p for p in corpus_paths() if load_entry(p)["exercise"] == "recovery"]
 
 # One pinned reproducer per fault family (satellite requirement).
 REQUIRED_FAMILIES = {"dead-processor", "torn-write", "bit-flip", "hang"}
 
 
 def test_corpus_carries_one_entry_per_fault_family():
-    paths = resilience_corpus_paths(CORPUS)
-    assert len(paths) >= 4
-    for p in paths:
-        with open(p) as fh:
-            data = json.load(fh)
-        assert data["schema"] == RESILIENCE_SCHEMA
-        assert {"program", "plan", "policy", "expect"} <= data.keys()
+    assert len(PATHS) >= 4
+    for p in PATHS:
+        data = load_entry(p)
+        assert {"program", "plan", "policy"} == set(data["input"])
+        assert {"outcome", "fault_substring", "min_faults"} <= set(data["expect"])
 
 
 def test_replay_recovers_oracle_identical_with_faults_fired():
-    results = replay_resilience_corpus(CORPUS)
-    assert len(results) >= 4
     seen_families = set()
-    for path, report, expect in results:
-        name = os.path.basename(path)
-        assert report.ok, f"{name}: {report.failure}"
-        assert report.outcome == expect["outcome"], (
-            f"{name}: outcome {report.outcome!r} != pinned "
-            f"{expect['outcome']!r}"
-        )
-        sub = expect["fault_substring"]
-        assert any(sub in f for f in report.faults), (
-            f"{name}: pinned fault {sub!r} no longer fires "
-            f"(faults: {report.faults})"
-        )
-        assert len(report.faults) >= expect["min_faults"], name
+    for path in PATHS:
+        outcome = replay(path)
+        assert outcome.ok, f"{path}: {outcome.failure}"
+        sub = load_entry(path)["expect"]["fault_substring"]
         seen_families |= {k for k in REQUIRED_FAMILIES if k == sub}
     assert seen_families == REQUIRED_FAMILIES
 
 
 def test_replay_is_deterministic():
-    once = replay_resilience_corpus(CORPUS)
-    twice = replay_resilience_corpus(CORPUS)
-    for (p1, r1, _), (p2, r2, _) in zip(once, twice):
-        assert p1 == p2
+    for path in PATHS:
+        r1, r2 = replay(path).detail, replay(path).detail
         assert r1.outcome == r2.outcome
         assert r1.answers == r2.answers
         assert r1.faults == r2.faults

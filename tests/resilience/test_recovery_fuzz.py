@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience.fuzz import fuzz_one
-from repro.resilience.harness import policy_for_seed, run_resilience_program
+from repro.resilience.harness import (
+    RECOVERY,
+    policy_for_seed,
+    run_resilience_program,
+)
 from repro.testing.generator import generate
 
 SEEDS = range(60)
@@ -22,9 +25,7 @@ OPS = 40
 
 @pytest.fixture(scope="module")
 def reports():
-    return {
-        seed: fuzz_one(seed, OPS, save=False, verbose=False) for seed in SEEDS
-    }
+    return {seed: RECOVERY.run_seed(seed, OPS).detail for seed in SEEDS}
 
 
 def test_every_seed_honours_the_recovery_contract(reports):
@@ -63,7 +64,7 @@ def test_reports_are_replayable(reports):
     """Same (seed, plan, policy) => identical outcome and answers —
     the fuzzer's failure artifacts are genuine reproducers."""
     seed = next(s for s, r in reports.items() if r.outcome == "degraded")
-    again = fuzz_one(seed, OPS, save=False, verbose=False)
+    again = RECOVERY.run_seed(seed, OPS).detail
     first = reports[seed]
     assert again.outcome == first.outcome
     assert again.answers == first.answers

@@ -1,30 +1,23 @@
 """Chaos-harness gate + pinned serve-corpus replay.
 
-The chaos gate (``run_chaos`` / ``chaos_one``) is the PR's acceptance
+The chaos gate (``run_chaos`` / the ``chaos`` exercise) is the PR's acceptance
 oracle: under injected faults, poison, overload and deadline churn the
 service must never lose or double-apply an acked batch, never corrupt
 shard state (``check_invariants`` + sequential-oracle parity), shed and
 reject deterministically per seed, and quarantine exactly the poisoned
 requests.  The ``pinned-serve-*`` corpus entries freeze four regimes
-(shed, quarantine, demotion, breaker) digest-for-digest.
+(shed, quarantine, demotion, breaker) digest-for-digest; the unified
+corpus replay asserts each digest, and this file checks the set.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.serve.chaos import (
-    CORPUS_SCHEMA,
-    ChaosConfig,
-    chaos_one,
-    config_for_seed,
-    replay_serve_entry,
-    run_chaos,
-)
-from repro.testing.corpus import corpus_paths, default_corpus_dir
+from repro.serve.chaos import CHAOS, ChaosConfig, config_for_seed, run_chaos
+from repro.testing.corpus import corpus_paths, load_entry
 
 # Seeds chosen (scan over 0..79, all green) to jointly cover every
 # behaviour regime: quarantine+shed (2), demotion (10), timeout (22),
@@ -34,9 +27,9 @@ GATE_SEEDS = (2, 10, 22, 36)
 
 @pytest.mark.parametrize("seed", GATE_SEEDS)
 def test_chaos_gate_holds_and_is_digest_deterministic(seed):
-    report = chaos_one(seed, 150, save=False, verbose=False)
-    assert report.ok, f"seed {seed}: {report.failure}"
-    assert len(report.digest) == 16
+    outcome = CHAOS.run_seed(seed, 150)
+    assert outcome.ok, f"seed {seed}: {outcome.failure}"
+    assert len(outcome.detail.digest) == 16
 
 
 def test_gate_seeds_jointly_cover_the_failure_matrix():
@@ -82,37 +75,21 @@ def test_clean_config_applies_everything():
 
 
 # ---------------------------------------------------------------------------
-# pinned corpus replay
+# pinned corpus
 # ---------------------------------------------------------------------------
 
 
-def serve_corpus_paths():
-    return corpus_paths(default_corpus_dir(), schema=CORPUS_SCHEMA)
-
-
 def test_corpus_has_the_four_pinned_regimes():
-    paths = serve_corpus_paths()
-    pinned = [p for p in paths if os.path.basename(p).startswith(
-        "pinned-serve-")]
+    pinned = [
+        load_entry(p) for p in corpus_paths()
+        if os.path.basename(p).startswith("pinned-serve-")
+    ]
     assert len(pinned) >= 4
-    notes = []
-    for path in pinned:
-        with open(path) as fh:
-            data = json.load(fh)
-        assert data["schema"] == CORPUS_SCHEMA
+    for data in pinned:
+        assert data["exercise"] == "chaos"
         assert set(data["expect"]) >= {
             "digest", "statuses", "shed_ids", "quarantined_ids"
         }
-        notes.append(data["note"])
-    joined = " ".join(notes)
+    joined = " ".join(data["note"] for data in pinned)
     for regime in ("shed", "quarantine", "demotion", "breaker"):
         assert regime in joined, f"no pinned entry covers {regime!r}"
-
-
-@pytest.mark.parametrize(
-    "path", serve_corpus_paths(),
-    ids=[os.path.basename(p) for p in serve_corpus_paths()],
-)
-def test_replay_pinned_serve_entry(path):
-    report = replay_serve_entry(path, verbose=False)
-    assert report.ok, f"{os.path.basename(path)}: {report.failure}"

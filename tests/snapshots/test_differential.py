@@ -10,7 +10,7 @@ from repro.algebra.rings import INTEGER
 from repro.errors import InvalidParameterError, RetryExhaustedError
 from repro.resilience.executor import ResiliencePolicy, ResilientListSession
 from repro.resilience.faults import FaultPlan
-from repro.snapshots.fuzz import fuzz_one, run_exercise
+from repro.snapshots.fuzz import SNAPSHOTS, run_exercise
 from repro.testing.executor import SNAPSHOT_MODES, run_sequence
 from repro.testing.generator import generate
 
@@ -75,8 +75,8 @@ def test_fuzz_exercises_spot_checks(name, seed, backend):
 
 def test_fuzz_one_clean():
     for seed in range(4):  # one full schedule rotation
-        outcome, failure = fuzz_one(seed)
-        assert failure is None, failure
+        outcome = SNAPSHOTS.run_seed(seed, SNAPSHOTS.default_size)
+        assert outcome.ok, outcome.failure
 
 
 def test_run_exercise_rejects_unknown():

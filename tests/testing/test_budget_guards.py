@@ -63,7 +63,7 @@ def test_generous_budgets_are_invisible():
 
 def test_cli_exits_2_on_budget_exhaustion(capsys):
     rc = main(
-        ["--seed", "0", "--ops", "400", "--backend", "flat",
+        ["differential", "--seed", "0", "--ops", "400", "--backend", "flat",
          "--no-save", "--op-budget", "10"]
     )
     assert rc == 2
@@ -72,5 +72,8 @@ def test_cli_exits_2_on_budget_exhaustion(capsys):
 
 
 def test_cli_unaffected_without_budget_flags():
-    rc = main(["--seed", "0", "--ops", "60", "--backend", "flat", "--no-save"])
+    rc = main(
+        ["differential", "--seed", "0", "--ops", "60", "--backend", "flat",
+         "--no-save"]
+    )
     assert rc == 0

@@ -1,77 +1,81 @@
-"""Replay every pinned regression entry in ``tests/corpus/`` (satellite c).
+"""Replay every pinned regression entry in ``tests/corpus/``.
 
-Each corpus file is a shrunk op sequence in the
-``repro-fuzz-corpus/1`` schema.  All entries must replay *clean* on the
-backend recorded in their metadata (default: both, in lockstep) — a
-failure here means a previously-fixed bug has regressed.
+Each corpus file is one ``repro-corpus/1`` entry.  All of them replay
+through :func:`repro.testing.fuzz.replay` — the function behind
+``python -m repro.testing.fuzz --replay`` — which requires a clean run
+and asserts every ``expect`` clause.  A failure here means a
+previously-fixed bug has regressed or a pinned expectation drifted.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
-from repro.testing import run_sequence
-from repro.testing.corpus import corpus_paths, default_corpus_dir, load_entry
+from repro.testing.corpus import SCHEMA, corpus_paths, default_corpus_dir, load_entry
+from repro.testing.fuzz import EXERCISES, main, replay
 
-PATHS = corpus_paths(default_corpus_dir())
+PATHS = corpus_paths()
 
 
 def test_corpus_is_seeded():
-    assert PATHS, "tests/corpus/ must hold at least one pinned entry"
+    assert len(PATHS) >= 27, "tests/corpus/ lost pinned entries"
 
 
 @pytest.mark.parametrize(
     "path", PATHS, ids=[os.path.basename(p) for p in PATHS]
 )
 def test_corpus_entry_replays_clean(path):
-    seq = load_entry(path)
-    backend = seq.meta.get("backend", "both")
-    crash_seed = seq.meta.get("crash_seed")
-    snapshot_seed = seq.meta.get("snapshot_seed")
-    report = run_sequence(
-        seq,
-        backend=backend,
-        check_every=1,
-        crash_seed=crash_seed,
-        snapshot_seed=snapshot_seed,
-        snapshot_mode=seq.meta.get("snapshot_mode", "state"),
-    )
-    assert report.ok, f"{os.path.basename(path)}: {report.failure}"
-    if crash_seed is not None:
-        # Crash-rollback reproducers are only worth pinning if the
-        # recorded crash schedule still fires mid-batch.
-        assert report.crashes > 0, (
-            f"{os.path.basename(path)}: crash schedule no longer fires"
-        )
-    if snapshot_seed is not None:
-        # Snapshot reproducers must still drive the differential rig.
-        assert report.snapshots > 0, (
-            f"{os.path.basename(path)}: snapshot rig no longer samples"
-        )
-    exercise = seq.meta.get("snapshot_exercise")
-    if exercise is not None:
-        # Persistence reproducers re-run the recorded save/restore
-        # crash or corruption exercise; run_exercise raises on any
-        # contract violation.  The pinned entries record seeds whose
-        # crash schedule actually fires (not an overshoot).
-        from repro.snapshots.fuzz import run_exercise
-
-        outcome = run_exercise(
-            exercise,
-            int(seq.meta.get("exercise_seed", seq.seed)),
-            backend=seq.meta.get("exercise_backend", "flat"),
-        )
-        assert "overshoot" not in outcome, (
-            f"{os.path.basename(path)}: exercise crash no longer fires "
-            f"({outcome})"
-        )
+    outcome = replay(path)
+    assert outcome.ok, f"{os.path.basename(path)}: {outcome.failure}"
 
 
 def test_corpus_schema_fields():
     for path in PATHS:
-        seq = load_entry(path)
-        assert seq.scenario in ("list", "contraction"), path
-        assert seq.n0 >= 1, path
-        assert isinstance(seq.ops, list), path
+        data = load_entry(path)
+        assert data["schema"] == SCHEMA, path
+        assert data["exercise"] in EXERCISES, path
+        assert data["note"], f"{path}: every pinned entry says why"
+
+
+def _edited(tmp_path, name, edit):
+    data = load_entry(os.path.join(default_corpus_dir(), name))
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_replay_checks_every_recovery_clause(tmp_path):
+    def edit(data):
+        data["expect"].update(fault_substring="no-such-fault", min_faults=999)
+
+    path = _edited(tmp_path, "fault-recovery-16d70c2283.json", edit)
+    assert not replay(path).ok
+    assert main(["--replay", path]) == 1
+
+
+def test_replay_honours_every_snapshot_input(tmp_path):
+    def edit(data):
+        data["input"]["snapshot_exercise"] = "no-such-exercise"
+
+    path = _edited(tmp_path, "pinned-snapshot-save-crash-list-d7e8eb28c9.json", edit)
+    assert "no-such-exercise" in replay(path).failure
+    assert main(["--replay", path]) == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["expect"].update(min_crashes=10**6),
+        lambda d: d["expect"].update(min_crashs=1),
+        lambda d: d["input"].update(snapshot_seed=3),
+        lambda d: d["input"].update(backend="parallel"),
+    ],
+    ids=["crash-count", "misspelt-clause", "unknown-input", "bad-backend"],
+)
+def test_replay_rejects_edited_differential_entries(tmp_path, edit):
+    path = _edited(tmp_path, "crash-list-7d5e8d8614.json", edit)
+    assert main(["--replay", path]) == 1

@@ -1,7 +1,7 @@
-"""Smoke tests for the model-based fuzzing subsystem (ISSUE tentpole).
+"""Smoke tests for the model-based fuzzing subsystem and its driver.
 
 These keep the CI cost low (small op counts); the heavyweight acceptance
-loads (3 seeds x 2000 ops) run in the dedicated ``fuzz-smoke`` CI job.
+loads (3 seeds x 2000 ops) run in the ``fuzz`` CI job.
 """
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ import json
 
 import pytest
 
-from repro.testing import generate, run_sequence
-from repro.testing.fuzz import main
+from repro.testing import corpus, generate, run_sequence
+from repro.testing.corpus import entry
+from repro.testing.fuzz import exercise, fuzz, main, replay
 from repro.testing.ops import OpSequence
+from repro.testing.planted import PLANTED
 
 SCENARIOS = ["list", "contraction"]
 
@@ -93,7 +95,8 @@ def test_generator_distinct_seeds_differ():
 
 def test_cli_main_clean_run():
     rc = main(
-        ["--seed", "0", "--ops", "60", "--backend", "both", "--no-save"]
+        ["differential", "--seed", "0", "--ops", "60", "--backend", "both",
+         "--no-save"]
     )
     assert rc == 0
 
@@ -101,5 +104,53 @@ def test_cli_main_clean_run():
 def test_cli_replay_corpus_entry(tmp_path):
     seq = generate("list", 7, 40)
     path = tmp_path / "entry.json"
-    path.write_text(seq.dumps())
-    assert main(["--replay", str(path), "--backend", "both"]) == 0
+    data = entry("differential", {"program": seq.to_json(), "backend": "both"})
+    path.write_text(json.dumps(data))
+    assert main(["--replay", str(path)]) == 0
+
+
+# One seed cannot witness every class; a wider clean run does.
+COVERAGE_RUNS = {
+    "differential": (["--scenario", "list", "--ops", "20"], ["--ops", "40"]),
+    "recovery": (["--ops", "40"], ["--ops", "40", "--runs", "4"]),
+    "snapshots": ([], ["--runs", "4"]),
+    "chaos": (["--ops", "100"], ["--ops", "100", "--runs", "30"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE_RUNS))
+def test_require_coverage_gate(name):
+    narrow, wide = COVERAGE_RUNS[name]
+    gate = [name, "--no-save", "--require-coverage"]
+    assert main(gate + narrow) == 2
+    assert main(gate + wide) == 0
+
+
+def test_cli_rejects_options_the_exercise_does_not_take():
+    with pytest.raises(SystemExit) as exc:
+        main(["recovery", "--backend", "flat", "--no-save"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "name,size", [("recovery", 40), ("snapshots", 20), ("chaos", 100)]
+)
+def test_reproducer_replays_to_the_same_outcome(tmp_path, name, size):
+    ex = exercise(name)
+    outcome = ex.run_seed(3, size)
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(ex.reproducer(3, size, outcome)))
+    again = replay(str(path))
+    assert again.ok, again.failure
+    assert again.label == outcome.label
+
+
+def test_differential_failure_is_shrunk_saved_and_replayable(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "default_corpus_dir", lambda: str(tmp_path))
+    with PLANTED["flat-slab-leak"].activate():
+        assert fuzz("differential", size=60, scenario="list") == 1
+        (path,) = tmp_path.glob("differential-*.json")
+        assert not replay(str(path)).ok
+    assert len(corpus.load_entry(str(path))["input"]["program"]["ops"]) <= 12
+    assert replay(str(path)).ok  # the planted bug is gone
+
