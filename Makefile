@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-perf bench bench-smoke bench-regress bench-check bench-trace bench-pairs \
         regress lint lint-effects fuzz-smoke fuzz-selftest fuzz-crash \
-        fuzz-faults fuzz-snapshots fuzz-serve \
+        fuzz-faults fuzz-snapshots fuzz-serve fuzz-contraction \
         corpus-replay clean
 
 ## Tier-1 suite (the reproduction contract).
@@ -104,6 +104,12 @@ FUZZ := $(PYTHON) -m repro.testing.fuzz
 ## ops), both backends in lockstep, auditing after every op.
 fuzz-smoke:
 	$(FUZZ) differential --seed 0 --runs 3 --ops 2000 --backend both --no-save
+
+## Contraction churn: 40 seeds x 200 contraction ops, both backends in
+## lockstep (odd seeds take the wide contraction-heavy batches); every
+## audit compares values, rounds, PT shapes and last_stats.
+fuzz-contraction:
+	$(FUZZ) differential --scenario contraction --seed 0 --runs 40 --ops 200 --backend both --no-save
 
 ## Prove the fuzzer finds each planted bug and shrinks it (<= 12 ops).
 fuzz-selftest:

@@ -93,11 +93,14 @@ class DynamicTreeContraction:
         if self._flat:
             from ..perf.flat_contraction import FlatContraction
 
+            # The flat schedule persists: each structural batch patches
+            # it on the PT slots the batch wrote.
+            self._flat_schedule = build_flat_schedule(self.pt)
             self.trace = FlatContraction(tree.ring).replay(
-                tree, self._schedule()
+                tree, self._flat_schedule
             )
         else:
-            self.trace = build_trace(tree, self._schedule())
+            self.trace = build_trace(tree, build_schedule(self.pt.root))
         self.last_stats: Dict[str, Any] = {
             "fresh_rt_nodes": self.trace.fresh_nodes,
             "rounds": self.trace.rounds,
@@ -339,10 +342,16 @@ class DynamicTreeContraction:
                 h.item = lid
                 self.handle[lid] = h
                 inserts.append((positions[leaf_id] + 1, rid))
-            new_handles = self.pt.batch_insert(inserts, tracker)
+            new_handles, written = self._pt_batch(
+                self.pt.batch_insert, inserts, tracker
+            )
             for (_, rid), h in zip(inserts, new_handles):
                 self.handle[rid] = h
-            self._recontract(tracker, len(admitted))
+            changed = [
+                (leaf_id, lid, rid)
+                for (leaf_id, _, _, _), (lid, rid) in zip(admitted, created)
+            ]
+            self._recontract(tracker, len(admitted), changed, written)
         if rej is None:
             return created
         return self._report(rej, len(requests), created)
@@ -373,6 +382,7 @@ class DynamicTreeContraction:
         )
         if admitted:
             doomed_handles: List[BSTNode] = []
+            changed: List[Tuple[int, int, int]] = []
             for node_id, new_value in admitted:
                 node = self.tree.node(node_id)
                 left, right = node.left, node.right
@@ -385,8 +395,11 @@ class DynamicTreeContraction:
                 h.item = node_id
                 self.handle[node_id] = h
                 doomed_handles.append(self.handle.pop(rid))
-            self.pt.batch_delete(doomed_handles, tracker)
-            self._recontract(tracker, len(admitted))
+                changed.append((node_id, lid, rid))
+            _, written = self._pt_batch(
+                self.pt.batch_delete, doomed_handles, tracker
+            )
+            self._recontract(tracker, len(admitted), changed, written)
         if rej is None:
             return None
         return self._report(rej, len(requests), [None] * len(admitted))
@@ -802,28 +815,58 @@ class DynamicTreeContraction:
                 )
         return [rej[i] for i in sorted(rej)]
 
-    def _schedule(self) -> Any:
-        """Derive the rake schedule from the current PT shape via the
-        backend-appropriate traversal (a
-        :class:`~repro.contraction.schedule.FlatSchedule` for the flat
-        backend — same raked stream, no per-event objects)."""
-        if self._flat:
-            return build_flat_schedule(self.pt)
-        return build_schedule(self.pt.root)
+    def _pt_batch(self, batch: Any, *args: Any) -> Tuple[Any, List[int]]:
+        """Run one PT batch.  On the flat backend it runs inside its own
+        journal, and the live slots that journal saw written (pre-images
+        and born slots) come back with the result: they are the only
+        places the rake schedule can have changed.  The journal is a
+        checkpoint like any outer one — the batch flattens into it, and
+        a failure rolls the PT back before the error propagates."""
+        pt = self.pt
+        if not self._flat:
+            return batch(*args), []
+        journal = pt._txn_begin()
+        try:
+            result = batch(*args)
+        except BaseException:
+            pt._txn_rollback(journal)
+            raise
+        pt._txn_commit(journal)
+        return result, pt._written_slots(journal)
 
-    def _recontract(self, tracker: SpanTracker, u: int) -> None:
+    def _recontract(
+        self,
+        tracker: SpanTracker,
+        u: int,
+        changed: List[Tuple[int, int, int]],
+        written: List[int],
+    ) -> None:
         """Memoised replay: re-derive RT, reusing every event outside
-        the wound.  ``fresh_nodes`` is the measured wound size."""
-        old = self.trace
+        the wound.  ``fresh_nodes`` is the measured wound size.  The
+        flat backend patches its schedule on the ``written`` PT slots
+        and replays by change propagation from the ``changed`` T nodes
+        (``(node, left, right)``: a grown leaf and its new children, or
+        a pruned node and its deleted ones)."""
         if self._flat:
-            self.trace = old.replay(self.tree, self._schedule())
+            # The leaf slots whose item changed: a grown leaf's handle
+            # now holds its left child, a pruned node took over its old
+            # left child's.
+            written += [
+                self.handle[x if x in self.handle else a].idx
+                for x, a, _ in changed
+            ]
+            self._flat_schedule = build_flat_schedule(
+                self.pt, self._flat_schedule, written
+            )
+            self.trace.replay(self.tree, self._flat_schedule, changed)
         else:
-            self.trace = build_trace(self.tree, self._schedule(), old=old)
+            self.trace = build_trace(
+                self.tree, build_schedule(self.pt.root), old=self.trace
+            )
         self._charge_wound(tracker, u, extra=self.trace.fresh_nodes)
         self.last_stats = {
             "fresh_rt_nodes": self.trace.fresh_nodes,
             "rounds": self.trace.rounds,
-            "rt_size": None,  # filled lazily by benchmarks when needed
         }
 
     def _charge_wound(self, tracker: SpanTracker, u: int, extra: int = 0) -> None:

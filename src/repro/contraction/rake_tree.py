@@ -200,13 +200,9 @@ def build_trace(
     reuse the old trace's RT nodes; ``trace.fresh_nodes`` then counts
     the wound (§4.2's ``RT(W)`` plus the structural splices).
 
-    The schedule may come from either PT backend
-    (:func:`~repro.contraction.schedule.build_schedule` over the
-    pointer graph or
-    :func:`~repro.contraction.schedule.build_schedule_flat` over the
-    slab): replay keys every event on the *raked T-leaf id* and the
-    identity of its input RT nodes, never on ``ev.pt_node``, so slab
-    slot reuse across rebuilds cannot alias a stale event.
+    Replay keys every event on the *raked T-leaf id* and the identity
+    of its input RT nodes, never on ``ev.pt_node``, so PT node reuse
+    across rebuilds cannot alias a stale event.
     """
     ring = tree.ring
     trace = RakeTrace(ring)

@@ -21,7 +21,7 @@ changes the events at rebuilt ``PT`` nodes and on their root paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ..splitting.node import BSTNode
 
@@ -30,7 +30,6 @@ __all__ = [
     "Schedule",
     "FlatSchedule",
     "build_schedule",
-    "build_schedule_flat",
     "build_flat_schedule",
 ]
 
@@ -63,22 +62,41 @@ class Schedule:
 
 
 class FlatSchedule:
-    """The rake schedule as one flat column for the flat replay.
+    """The rake schedule as flat columns for the flat replay.
 
-    ``raked`` lists the raked T-leaf ids round-major (and, within a
-    round, in the same left-to-right emission order as the reference
-    :class:`Schedule`); ``n_rounds`` is the schedule depth.  Survivors
-    and PT provenance are omitted: the flat replay re-derives the
-    sibling from its contracted-tree view, exactly like
+    ``raked`` lists raked T-leaf ids and ``rounds`` their rounds
+    (1-based).  A full build lists every event round-major (and, within
+    a round, in the same left-to-right emission order as the reference
+    :class:`Schedule`); an incremental one lists only the events fired
+    by the PT slots a batch wrote and their ancestors, a superset of
+    the events whose round or raked leaf changed.  ``n_rounds`` is the
+    schedule depth and ``last`` the leaf raked in the final round (the
+    PT root's event; ``None`` for a one-leaf PT).  Survivors and PT
+    provenance are omitted: the flat replay re-derives the sibling from
+    its contracted-tree view, exactly like
     :func:`~repro.contraction.rake_tree.build_trace` does — the raked
     leaf id is the only event key either replay uses.
+
+    ``rep`` persists across batches: per PT slot, the slot of the
+    rightmost leaf below it, so an incremental build recomputes it on
+    the written slots' root paths only.
     """
 
-    __slots__ = ("raked", "n_rounds")
+    __slots__ = ("raked", "rounds", "n_rounds", "last", "rep")
 
-    def __init__(self, raked: List[int], n_rounds: int) -> None:
+    def __init__(
+        self,
+        raked: List[int],
+        rounds: List[int],
+        n_rounds: int,
+        last: Optional[int],
+        rep: List[int],
+    ) -> None:
         self.raked = raked
+        self.rounds = rounds
         self.n_rounds = n_rounds
+        self.last = last
+        self.rep = rep
 
 
 def build_schedule(root: BSTNode) -> Schedule:
@@ -130,70 +148,62 @@ def build_schedule(root: BSTNode) -> Schedule:
     return Schedule(rounds=events_by_round)
 
 
-def build_schedule_flat(tree) -> Schedule:
-    """:func:`build_schedule` over a
-    :class:`~repro.perf.flat_rbsts.FlatRBSTS` (the flat backend of the
-    contraction ``PT``).
-
-    The same two-phase post-order pass, but over the slab's
-    ``left``/``right``/``item`` arrays instead of node objects.  Since
-    the schedule is a pure function of the RBSTS *shape* and leaf
-    items, the emitted ``(raked, survivor, round)`` stream is identical
-    to the reference backend's for equal shapes — ``pt_node`` carries
-    the slab slot instead of a Python ``id`` (both are opaque
-    provenance tags; the replay in rake_tree.py keys on raked-leaf
-    identity only).
-    """
-    left, right, item = tree._left, tree._right, tree._item
-    rounds_of: Dict[int, int] = {}
-    repr_of: Dict[int, Any] = {}
-    events_by_round: List[List[RakeEvent]] = []
-    stack: List[tuple[int, bool]] = [(tree.root_index, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if left[node] == -1:  # leaf slot
-            rounds_of[node] = 0
-            repr_of[node] = item[node]
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.append((right[node], False))
-            stack.append((left[node], False))
-            continue
-        l, r = left[node], right[node]
-        rnd = 1 + max(rounds_of[l], rounds_of[r])
-        rounds_of[node] = rnd
-        repr_of[node] = repr_of[r]
-        while len(events_by_round) < rnd:
-            events_by_round.append([])
-        events_by_round[rnd - 1].append(
-            RakeEvent(
-                pt_node=node,
-                raked=repr_of[l],
-                survivor=repr_of[r],
-                round=rnd,
-            )
-        )
-    return Schedule(rounds=events_by_round)
-
-
-def build_flat_schedule(tree) -> FlatSchedule:
+def build_flat_schedule(
+    tree: Any,
+    prev: Optional[FlatSchedule] = None,
+    written: Iterable[int] = (),
+) -> FlatSchedule:
     """:class:`FlatSchedule` over a
-    :class:`~repro.perf.flat_rbsts.FlatRBSTS` — the allocation-lean
-    builder the flat contraction backend uses.
+    :class:`~repro.perf.flat_rbsts.FlatRBSTS`.
 
-    Same two-phase post-order recurrence as :func:`build_schedule_flat`
-    (round = ``1 + max(children)``, representative = right child's),
-    but over slot-indexed lists with the visit state packed into the
-    stack entry's sign (``~slot`` marks the post-visit), emitting bare
-    raked-leaf ids instead of :class:`RakeEvent` objects.  The emitted
-    ``raked`` stream round-by-round is identical to the reference
-    schedules' for equal PT shapes.
+    Without ``prev``: the full build.  One post-order pass computes per
+    slot its round (``1 + max(children)``) and rightmost-leaf slot, with
+    the visit state packed into the stack entry's sign (``~slot`` marks
+    the post-visit), emitting bare raked-leaf ids round-major — the
+    same stream, round by round, as the reference schedule's for equal
+    PT shapes.
+
+    With ``prev``: the incremental build after one batch.  ``written``
+    lists the live slots the batch wrote (its journal's pre-images and
+    born slots) plus leaf slots whose item the caller changed.  A
+    slot's round and representative are functions of its subtree, so
+    only the written slots and their ancestors can change; their round
+    is the slab's maintained ``_height``, and each of them re-emits its
+    event.  Cost: the size of that region, not of the PT.
     """
+    if prev is None:
+        return _full_flat_schedule(tree)
+    parent, left, right = tree._parent, tree._left, tree._right
+    item, height = tree._item, tree._height
+    rep = prev.rep
+    if len(rep) < len(left):
+        rep.extend([-1] * (len(left) - len(rep)))
+    region: Set[int] = set()
+    for s in written:
+        while s != -1 and s not in region:
+            region.add(s)
+            s = parent[s]
+    raked: List[int] = []
+    rounds: List[int] = []
+    for v in sorted(region, key=height.__getitem__):
+        l = left[v]
+        if l == -1:
+            rep[v] = v
+            continue
+        rep[v] = rep[right[v]]
+        raked.append(item[rep[l]])
+        rounds.append(height[v])
+    root = tree.root_index
+    l = left[root]
+    last = None if l == -1 else item[rep[l]]
+    return FlatSchedule(raked, rounds, height[root], last, rep)
+
+
+def _full_flat_schedule(tree: Any) -> FlatSchedule:
     left, right, item = tree._left, tree._right, tree._item
     n = len(left)
     rounds_of = [0] * n
-    repr_of = [0] * n
+    rep = [-1] * n
     raked_by_round: List[List[int]] = []
     stack: List[int] = [tree.root_index]
     while stack:
@@ -201,7 +211,7 @@ def build_flat_schedule(tree) -> FlatSchedule:
         if v >= 0:
             l = left[v]
             if l == -1:  # leaf slot
-                repr_of[v] = item[v]
+                rep[v] = v
                 continue
             stack.append(~v)
             stack.append(right[v])
@@ -212,11 +222,14 @@ def build_flat_schedule(tree) -> FlatSchedule:
         rl, rr = rounds_of[l], rounds_of[r]
         rnd = (rl if rl > rr else rr) + 1
         rounds_of[v] = rnd
-        repr_of[v] = repr_of[r]
+        rep[v] = rep[r]
         if rnd > len(raked_by_round):
             raked_by_round.append([])
-        raked_by_round[rnd - 1].append(repr_of[l])
+        raked_by_round[rnd - 1].append(item[rep[l]])
     raked: List[int] = []
-    for batch in raked_by_round:
+    rounds: List[int] = []
+    for rnd, batch in enumerate(raked_by_round, 1):
         raked.extend(batch)
-    return FlatSchedule(raked, len(raked_by_round))
+        rounds.extend([rnd] * len(batch))
+    last = raked[-1] if raked else None
+    return FlatSchedule(raked, rounds, len(raked_by_round), last, rep)

@@ -1491,6 +1491,19 @@ class FlatRBSTS:
                 f"{len(self._parent)} slots"
             )
 
+    def _written_slots(self, since: FlatJournal) -> List[int]:
+        """The live slots the batch bracketed by ``since`` wrote: its
+        copy-on-write pre-images and the slots born past the capture
+        length, less those on the free list now (a slot freed since
+        capture sits at or above the free list's floor)."""
+        freed = set(self._free[since.free_floor :])
+        out = [s for s in since.saved if s not in freed]
+        out.extend(
+            s for s in range(since.snap_len, len(self._parent))
+            if s not in freed
+        )
+        return out
+
     def _dirty_region(self, since: FlatJournal) -> List[int]:
         """The slots whose checks can see a cell the batch bracketed by
         ``since`` wrote, sorted.  The dirty slots are the pre-existing

@@ -878,3 +878,9 @@ class _ContractionRunner:
                     f"{flat.rounds()}",
                 )
             assert_twins(ref.pt, flat.pt, where="(contraction PT)")
+            if ref.last_stats != flat.last_stats:
+                raise OracleViolation(
+                    "twins",
+                    f"contraction last_stats diverged: {ref.last_stats!r} "
+                    f"!= {flat.last_stats!r}",
+                )

@@ -105,8 +105,14 @@ class _Differential(Exercise):
             n_ops = size
             if name == "contraction" and scenario == "all":
                 n_ops = max(1, size // CONTRACTION_OPS_DIVISOR)
-            batchy = crash_seed is not None and name == "list"
-            yield generate(name, seed, n_ops, profile="batch" if batchy else "default")
+            profile = "default"
+            if crash_seed is not None and name == "list":
+                profile = "batch"
+            elif scenario == "contraction" and seed % 2:
+                # Odd seeds of a contraction-only run take the wide
+                # structural batches of the FlatContraction workout.
+                profile = "contraction-heavy"
+            yield generate(name, seed, n_ops, profile=profile)
 
     def run_seed(
         self,

@@ -13,6 +13,7 @@ backends in lockstep and compare everything observable.
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 
@@ -52,15 +53,18 @@ def random_ops(rnd):
     return mul_op() if rnd.random() < 0.3 else add_op()
 
 
-def drive(ref, flat, rnd, steps=10):
-    """A deterministic mixed batch sequence applied to both twins."""
+def drive(ref, flat, rnd, steps=10, kinds=None, width=3, records=False):
+    """A deterministic mixed batch sequence applied to both twins.
+    ``width`` is the grow/prune batch size; ``records`` also compares
+    every death record, removal kind and ``next_rid`` after each
+    batch."""
     tree_r, tree_f = ref.tree, flat.tree
     for _ in range(steps):
-        kind = rnd.choice(["grow", "prune", "setv", "setop", "query"])
+        kind = rnd.choice(kinds or ["grow", "prune", "setv", "setop", "query"])
         tr_r, tr_f = SpanTracker(), SpanTracker()
         if kind == "grow":
             leaves = [l.nid for l in tree_r.leaves_in_order()]
-            targets = sorted(rnd.sample(leaves, min(3, len(leaves))))
+            targets = sorted(rnd.sample(leaves, min(width, len(leaves))))
             reqs = [
                 (nid, random_ops(rnd), rnd.randint(-4, 4), rnd.randint(-4, 4))
                 for nid in targets
@@ -74,7 +78,7 @@ def drive(ref, flat, rnd, steps=10):
             ]
             if not cands:
                 continue
-            targets = sorted(rnd.sample(cands, min(2, len(cands))))
+            targets = sorted(rnd.sample(cands, min(width - 1, len(cands))))
             reqs = [(nid, rnd.randint(-4, 4)) for nid in targets]
             ref.batch_prune(reqs, tr_r)
             flat.batch_prune(reqs, tr_f)
@@ -102,6 +106,14 @@ def drive(ref, flat, rnd, steps=10):
             )
         assert (tr_r.work, tr_r.span) == (tr_f.work, tr_f.span)
         assert_twins(ref, flat)
+        if records:
+            m = tree_r._next_id
+            assert_same_labels(ref, flat, m)
+            for nid in range(m):
+                assert flat.trace.removal_kind(nid) == ref.trace.removal_kind(
+                    nid
+                ), nid
+            assert flat.trace.next_rid == ref.trace.next_rid
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +166,20 @@ def test_mixed_ops_differential(ring, seed):
     rnd = random.Random(0xF1A7 ^ seed)
     ref, flat = make_pair(ring, rnd.randint(4, 90), seed)
     drive(ref, flat, rnd, steps=10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_churn_differential_at_scale(seed):
+    """Grow/prune churn at n = 2**10, |U| = 16: after every batch the
+    change-propagation replay leaves every death record, removal kind,
+    fresh-node count, round count and rid stamp equal to the
+    reference's from-scratch memoised replay."""
+    rnd = random.Random(0xC4 ^ seed)
+    ref, flat = make_pair(INTEGER, 1 << 10, seed)
+    drive(
+        ref, flat, rnd, steps=8, kinds=["grow", "prune", "setv"],
+        width=16, records=True,
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -280,12 +306,15 @@ def test_query_values_match_subtree_oracle_flat():
 
 
 def test_slab_stays_bounded_under_churn():
+    """Rows in use stay within the live bound — ``_GC_FACTOR`` rows per
+    live T node — however many ids the tree has issued."""
     from repro.perf.flat_contraction import _GC_FACTOR
 
     rnd = random.Random(9)
     tree = random_expression_tree(INTEGER, 48, seed=9)
     flat = DynamicTreeContraction(tree, seed=10, backend="flat")
-    for step in range(40):
+    trace = flat.trace
+    for step in range(300):
         leaves = [l.nid for l in tree.leaves_in_order()]
         grow = sorted(rnd.sample(leaves, 3))
         flat.batch_grow(
@@ -299,10 +328,45 @@ def test_slab_stays_bounded_under_churn():
         prune = sorted(rnd.sample(cands, min(3, len(cands))))
         flat.batch_prune([(nid, rnd.randint(-4, 4)) for nid in prune])
         assert flat.value() == tree.evaluate()
-        trace = flat.trace
-        in_use = len(trace._kind) - len(trace._free)
-        assert in_use <= _GC_FACTOR * max(64, tree._next_id)
+        bound = _GC_FACTOR * max(64, len(tree))
+        assert len(trace._kind) - len(trace._free) <= bound
+        assert len(trace._kind) <= 2 * bound
+    assert tree._next_id > 10 * len(tree)
     flat.check_consistency()
+
+
+def test_structural_replay_visits_the_wound_not_the_tree():
+    """Change propagation re-runs only the rake events a batch
+    disturbs: at |U| = 16 the median events visited per grow/prune
+    batch grow less than 2x from n = 2**10 to 2**12, while the event
+    total grows 4x."""
+
+    def median_visited(n):
+        tree = random_expression_tree(INTEGER, n, seed=21)
+        flat = DynamicTreeContraction(tree, seed=22, backend="flat")
+        rnd = random.Random(23)
+        visited = []
+        for _ in range(12):
+            leaves = sorted(flat.handle)
+            flat.batch_grow(
+                [(nid, random_ops(rnd), 1, 2) for nid in rnd.sample(leaves, 16)]
+            )
+            visited.append(flat.trace.visited_events)
+            cands = sorted({
+                leaf.parent.nid
+                for leaf in map(tree.node, flat.handle)
+                if leaf.parent is not None
+                and leaf.parent.left.is_leaf
+                and leaf.parent.right.is_leaf
+            })
+            flat.batch_prune([(nid, 3) for nid in rnd.sample(cands, 16)])
+            visited.append(flat.trace.visited_events)
+            assert flat.value() == tree.evaluate()
+        return statistics.median(visited)
+
+    small, large = median_visited(1 << 10), median_visited(1 << 12)
+    assert large < 2 * small
+    assert large < (1 << 12) / 4
 
 
 # ---------------------------------------------------------------------------
