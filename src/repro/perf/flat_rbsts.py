@@ -68,6 +68,7 @@ from ..errors import (
 from ..pram.frames import SpanTracker
 from ..splitting.build import Summarizer
 from ..snapshots.core import txn_begin, txn_commit, txn_rollback
+from ..snapshots.reader import PinnedReader
 from ..transactions import (
     FlatJournal,
     execute_batch,
@@ -511,6 +512,10 @@ class FlatRBSTS:
             if tracker is not None:
                 tracker.charge(work=1, span=1)
             return root
+        # Every build over two or more leaves draws: open snapshots copy
+        # the master-RNG state first (copy-on-write, first call wins).
+        if self._journal is not None:
+            self._journal.save_rng(self)
         if m == 2:
             self._rng.random()  # the root's (degenerate) split draw
             a, b = leaf_slots
@@ -800,6 +805,8 @@ class FlatRBSTS:
     ) -> FlatLeaf:
         if not 0 <= index <= self.n_leaves:
             raise PositionError(f"insert position {index} out of range")
+        if self._journal is not None:
+            self._journal.save_rng(self)
         left, right, counts = self._left, self._right, self._n_leaves
         rnd = self._rng.random
         new_leaf = self._alloc()
@@ -840,6 +847,8 @@ class FlatRBSTS:
         idx = self._check_handle(leaf)
         if self.n_leaves <= 1:
             raise TreeStructureError("cannot delete the last leaf of an RBSTS")
+        if self._journal is not None:
+            self._journal.save_rng(self)
         left, right, counts = self._left, self._right, self._n_leaves
         rnd = self._rng.random
         j = self.index_of(leaf) + 1  # 1-based rank
@@ -920,6 +929,8 @@ class FlatRBSTS:
 
         # Per-request coin substreams, seeded in request order (identical
         # master-RNG consumption to the reference backend).
+        if self._journal is not None:
+            self._journal.save_rng(self)
         master = self._rng
         coins = [random.Random(master.getrandbits(64)).random for _ in requests]
 
@@ -1087,6 +1098,8 @@ class FlatRBSTS:
         )
         doomed = set(idxs)
 
+        if self._journal is not None:
+            self._journal.save_rng(self)
         master = self._rng
         coins = [random.Random(master.getrandbits(64)).random for _ in idxs]
 
@@ -1269,18 +1282,16 @@ class FlatRBSTS:
     def _txn_commit(self, journal: FlatJournal) -> None:
         txn_commit(self, journal)
 
-    def pinned_reader(self, *, monoid: Any = None):
-        """Context manager yielding a
-        :class:`~repro.snapshots.reader.PinnedReader` over the current
-        version: an O(1) epoch pin joins the transaction stack, and
-        queries through the reader are O(depth) descents over the
-        pinned version (copy-on-write pre-images overlaid on the live
-        slab) while later mutations — and their rollbacks — proceed.
-        ``monoid`` (this tree's ``summarizer.monoid``) enables the fold
-        reads (``prefix``/``range_fold``/``total``)."""
-        from ..snapshots.reader import pinned_reader
-
-        return pinned_reader(self, monoid=monoid)
+    def pinned_reader(self, *, monoid: Any = None) -> PinnedReader:
+        """A :class:`~repro.snapshots.reader.PinnedReader` (a context
+        manager) over the current version: an O(1) epoch pin joins the
+        transaction stack, and queries through the reader are O(depth)
+        descents over the pinned version (copy-on-write pre-images
+        overlaid on the live slab) while later mutations — and their
+        rollbacks — proceed.  ``monoid`` (this tree's
+        ``summarizer.monoid``) enables the fold reads
+        (``prefix``/``range_fold``/``total``)."""
+        return PinnedReader(self, monoid=monoid)
 
     # ------------------------------------------------------------------
     # shared helpers (cost accounting mirrors the reference)

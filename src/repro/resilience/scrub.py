@@ -470,8 +470,13 @@ def _rebuild_subtree(
     """Discard and randomly rebuild the subtree at ``anchor`` (§2,
     Theorems 2.2/2.3) under a dedicated repair RNG.  The master RNG is
     restored by the caller."""
+    flat = _is_flat(tree)
+    if flat:
+        # The reseed overwrites the master RNG: every open flat snapshot
+        # copies it first (reference journals capture it eagerly).
+        tree._journal.save_rng(tree)
     tree._rng.seed(("scrub-rebuild", repair_seed).__repr__())
-    if _is_flat(tree):
+    if flat:
         leaf_slots, dead = tree._subtree_slots(anchor)
         label = f"slot {anchor}"
         new_root = tree._rebuild_at(anchor, leaf_slots, dead_internals=dead)

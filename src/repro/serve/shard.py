@@ -77,6 +77,14 @@ class _Pos:
         self.pos = pos
 
 
+def _not_position(x: Any) -> str:
+    """``""`` if ``x`` is a leaf position, else a note naming its type.
+    A ``bool`` is an ``int`` subclass, but ``True`` is not position 1."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return ""
+    return f" ({type(x).__name__}, not int)"
+
+
 def _new_stats() -> Dict[str, int]:
     return {
         "offers": 0,
@@ -355,23 +363,21 @@ class Shard:
         kind = req.kind
         if kind == "prefix":
             pos = req.args[0]
-            if not isinstance(pos, int) or not 0 <= pos < n:
+            note = _not_position(pos)
+            if note or not 0 <= pos < n:
                 return Response(
                     req.req_id, self.shard_id, "rejected",
                     reason="position-out-of-range",
-                    detail=f"prefix position {pos!r} out of range 0..{n - 1}",
+                    detail=f"prefix position {pos!r}{note} out of range 0..{n - 1}",
                 )
         elif kind == "range":
             i, j = req.args
-            if (
-                not isinstance(i, int)
-                or not isinstance(j, int)
-                or not 0 <= i <= j < n
-            ):
+            note = _not_position(i) or _not_position(j)
+            if note or not 0 <= i <= j < n:
                 return Response(
                     req.req_id, self.shard_id, "rejected",
                     reason="position-out-of-range",
-                    detail=f"range [{i!r}, {j!r}] invalid for length {n}",
+                    detail=f"range [{i!r}, {j!r}]{note} invalid for length {n}",
                 )
         if session.rung == "sequential":
             result = self._read_sequential(kind, req.args)
@@ -422,7 +428,7 @@ class Shard:
         interned: Dict[Any, _Pos] = {}
 
         def wrap(pos: Any) -> Any:
-            if not isinstance(pos, int) or isinstance(pos, bool):
+            if _not_position(pos):
                 return pos  # fails is_leaf -> "not-a-leaf" rejection
             return interned.setdefault(pos, _Pos(pos))
 

@@ -7,10 +7,11 @@ slab epochs.  This module collapses them into one abstraction:
 
 * :class:`FlatSnapshot` — O(1) creation over the flat column
   stores.  Capture records only the column lengths, the free-list
-  length, and the scalar registers (root index, RNG state, high-water
-  mark, ``last_batch_stats``, the audited mark); pre-images are then
+  length, and the scalar registers (root index, high-water mark,
+  ``last_batch_stats``, the audited mark); pre-images are then
   captured copy-on-write at the *first* write to each pre-existing
-  slot through the journal seam (``tree._journal``).
+  slot through the journal seam (``tree._journal``), and the
+  master-RNG state at the *first* draw (``save_rng``).
 * :class:`ReferenceSnapshot` — the observing undo log for the
   pointer-graph backend (rebuild splices, ancestor metadata, leaf
   relabels), recorded through the same seam.
@@ -310,6 +311,11 @@ class FlatSnapshot(Snapshot):
     popped below the running minimum is recorded (in index order) and
     re-appended on restore.
 
+    The master-RNG register is copy-on-write as well: every flat entry
+    point that draws calls ``save_rng`` through the seam before its
+    first draw, so a snapshot under which nothing draws (a pin, a value
+    batch) never copies the 625-word generator state.
+
     Restore is re-armable (pre-images stay valid after a rewind — the
     rewound values ARE the pre-images), and :meth:`materialize` cuts a
     :class:`SnapshotState` of the *capture-epoch* state at any moment,
@@ -336,7 +342,10 @@ class FlatSnapshot(Snapshot):
         self.free_floor = len(tree._free)
         self.free_orig: List[int] = []  # F0[free_floor:len(F0)], index order
         self.root_index = tree.root_index
-        self.rng_state = tree._rng.getstate()
+        # Master-RNG state at capture, copied on the first draw under
+        # this snapshot (``save_rng``); ``None`` means nothing has drawn
+        # since, so the live generator still holds it.
+        self.rng_state: Any = None
         self.highwater = tree._n_highwater
         self.stats = dict(tree.last_batch_stats)
         self.audited = tree._audited
@@ -365,6 +374,12 @@ class FlatSnapshot(Snapshot):
     def save_slots(self, tree: Any, slots: Sequence[int]) -> None:
         for i in slots:
             self.save_slot(tree, i)
+
+    def save_rng(self, tree: Any) -> None:
+        """Called before any draw from (or reseed of) ``tree._rng``:
+        capture the master-RNG state (first call wins)."""
+        if self.rng_state is None:
+            self.rng_state = tree._rng.getstate()
 
     def note_free_pops(self, free: List[int], take: int) -> None:
         """Called *before* popping ``take`` entries off the free list:
@@ -402,7 +417,8 @@ class FlatSnapshot(Snapshot):
         del free[self.free_floor :]
         free.extend(self.free_orig)
         tree.root_index = self.root_index
-        tree._rng.setstate(self.rng_state)
+        if self.rng_state is not None:
+            tree._rng.setstate(self.rng_state)
         tree._n_highwater = self.highwater
         tree.last_batch_stats = dict(self.stats)
         tree._audited = self.audited
@@ -427,7 +443,8 @@ class FlatSnapshot(Snapshot):
         # free list at capture: untouched prefix + recorded tail.
         state.free = list(tree._free[: self.free_floor]) + list(self.free_orig)
         state.root_index = self.root_index
-        state.rng_state = self.rng_state
+        if self.rng_state is not None:  # else the live state is it
+            state.rng_state = self.rng_state
         state.highwater = self.highwater
         state.stats = dict(self.stats)
         return state
@@ -455,6 +472,10 @@ class _Fanout:
     def note_free_pops(self, free: List[int], take: int) -> None:
         for m in self.members:
             m.note_free_pops(free, take)  # type: ignore[attr-defined]
+
+    def save_rng(self, tree: Any) -> None:
+        for m in self.members:
+            m.save_rng(tree)  # type: ignore[attr-defined]
 
     def record_rebuild(self, node: Any, parent: Any, leaves: Sequence[Any]) -> None:
         for m in self.members:

@@ -22,11 +22,17 @@ flat):
 * ``corruption`` — a newer snapshot file is damaged at a seeded byte
   (truncation, bit flip, bad magic); a direct ``load`` must raise the
   right taxonomy error and :func:`~repro.snapshots.persist.load_newest`
-  must fall back to the older intact file while reporting the damage.
+  must fall back to the older intact file while reporting the damage;
+* ``pinned`` — a generated list program is pinned at a seeded op and
+  the rest of it runs under the pin with every batch crash-armed
+  (crashed batches roll back, then re-apply); after every op the
+  reader must answer the pin-time list, and ``state()`` must carry the
+  pin-time image and master-RNG state.
 
 Contract violations raise; ``--require-coverage`` fails unless every
 exercise class — including at least one *fired* save crash and restore
-crash — was observed across the runs.
+crash, and one pinned run with a crash under the pin — was observed
+across the runs.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from __future__ import annotations
 import os
 import random
 import tempfile
+from itertools import accumulate
 from pathlib import Path
-from typing import Any, Dict, Mapping
+from typing import Any, Dict, List, Mapping, Tuple
 
 from ..algebra.monoid import sum_monoid
 from ..algebra.rings import INTEGER
@@ -46,8 +53,13 @@ from ..errors import (
 )
 from ..listprefix.structure import IncrementalListPrefix
 from ..testing.corpus import Exercise, Outcome, check_expect, entry, take
-from ..testing.crashes import CrashController, CrashInjected, snapshot_crash_points
-from ..testing.executor import run_sequence
+from ..testing.crashes import (
+    CrashController,
+    CrashInjected,
+    crash_points,
+    snapshot_crash_points,
+)
+from ..testing.executor import _ListRunner, run_sequence
 from ..testing.generator import generate
 from ..testing.ops import OpSequence
 from ..testing.oracles import shape_signature
@@ -59,6 +71,7 @@ __all__ = [
     "SNAPSHOTS",
     "exercise_corruption",
     "exercise_differential",
+    "exercise_pinned",
     "exercise_restore_crash",
     "exercise_save_crash",
     "run_exercise",
@@ -145,7 +158,7 @@ def _scratch(backend: str) -> IncrementalListPrefix:
 def exercise_differential(seed: int, backend: str) -> str:
     # The schedule hands this exercise every len(_SCHEDULE)-th seed, so
     # derive the mode from the schedule round, not the raw seed parity.
-    mode = "persist" if (seed // 4) % 2 else "state"
+    mode = "persist" if (seed // len(_SCHEDULE)) % 2 else "state"
     seq = generate("list", seed, 20)
     report = run_sequence(
         seq, backend=backend, snapshot_seed=seed, snapshot_mode=mode
@@ -300,14 +313,88 @@ def exercise_corruption(seed: int, backend: str) -> str:
     return f"corruption-{kind}-recovered"
 
 
+def _pinned_image(state: SnapshotState) -> Tuple[Any, ...]:
+    """Everything a pinned version fixes; the ``_handle`` column is a
+    lazy interning cache that reads may fill, so it is left out."""
+    columns = {k: v for k, v in state.columns.items() if k != "_handle"}
+    return (
+        state.backend, state.n, state.root_index, list(state.free),
+        state.rng_state, state.next_id, state.highwater, state.stats, columns,
+    )
+
+
+def _check_pinned_answers(reader: Any, model: List[Any], monoid: Any, where: str) -> None:
+    n = len(model)
+    prefixes = list(accumulate(model, monoid.combine))
+    answers = [
+        ("len", len(reader), n),
+        ("total", reader.total(), monoid.fold(model)),
+    ]
+    for i in range(n):
+        answers.append((f"value_at({i})", reader.value_at(i), model[i]))
+        answers.append((f"prefix({i})", reader.prefix(i), prefixes[i]))
+        j = n - 1 - i
+        if i <= j:
+            answers.append(
+                (f"range_fold({i}, {j})", reader.range_fold(i, j),
+                 monoid.fold(model[i : j + 1]))
+            )
+    for what, got, want in answers:
+        if got != want:
+            raise AssertionError(
+                f"{where}: pinned {what} = {got!r}, pin-time model {want!r}"
+            )
+
+
+def exercise_pinned(seed: int, backend: str) -> str:
+    """Pin a generated list program at a seeded op and run the rest
+    under the pin, every batch crash-armed; the reader must answer the
+    pin-time model throughout, and its ``state()`` must be the pin-time
+    image including the master-RNG state."""
+    seq = generate("list", seed, 20)
+    # Pin in the first half, so at least half the program runs under it.
+    pin_at = random.Random(("snapfuzz-pinned", seed).__repr__()).randrange(
+        len(seq.ops) // 2 + 1
+    )
+    ctl = CrashController()
+    runner = _ListRunner(
+        seq, backend, "recompute",
+        (ctl, random.Random(("crash", seed).__repr__())),
+    )
+    lp = runner.subjects[backend]
+    with crash_points(ctl):
+        for op in seq.ops[:pin_at]:
+            runner.apply(op)
+        model = list(runner.model)
+        want = SnapshotState.capture(lp.tree)
+        crashes = runner.crashes
+        with lp.tree.pinned_reader(monoid=runner.monoid) as reader:
+            for k, op in enumerate(seq.ops[pin_at:], pin_at):
+                runner.apply(op)
+                runner.audit()
+                where = f"pinned(seed={seed}, backend={backend}, pin@{pin_at}, op[{k}])"
+                _check_pinned_answers(reader, model, runner.monoid, where)
+            where = f"pinned(seed={seed}, backend={backend}, pin@{pin_at})"
+            got = reader.state()
+            if got.rng_state != want.rng_state:
+                raise AssertionError(f"{where}: state() lost the pin-time RNG state")
+            if _pinned_image(got) != _pinned_image(want):
+                raise AssertionError(f"{where}: state() is not the pin-time image")
+            if reader.values() != model:
+                raise AssertionError(f"{where}: values() drifted from the pin-time list")
+            _check_pinned_answers(reader, model, runner.monoid, where)
+    return "pinned" if runner.crashes > crashes else "pinned-overshoot"
+
+
 EXERCISES = {
     "differential": exercise_differential,
     "save-crash": exercise_save_crash,
     "restore-crash": exercise_restore_crash,
     "corruption": exercise_corruption,
+    "pinned": exercise_pinned,
 }
 
-_SCHEDULE = ("differential", "save-crash", "restore-crash", "corruption")
+_SCHEDULE = ("differential", "save-crash", "restore-crash", "corruption", "pinned")
 
 
 def run_exercise(name: str, seed: int, *, backend: str = "flat") -> str:

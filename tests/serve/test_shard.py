@@ -259,3 +259,18 @@ def test_reads_work_on_every_rung():
         assert shard.read(req(1, "prefix", 1), 0.0).result == 11
         assert shard.read(req(2, "range", 1, 2), 0.0).result == 13
         assert shard.read(req(3, "len"), 0.0).result == 3
+
+
+@pytest.mark.parametrize("rung", ("flat", "reference", "sequential"))
+def test_reads_reject_bool_positions(rung):
+    """``True`` is an int subclass but no position: reads reject it as
+    out of range and name its type, as writes already refuse it."""
+    shard = make_shard([5, 6, 7], resilience=ResiliencePolicy(ladder=(rung,)))
+    for args in (("prefix", True), ("range", False, True), ("range", 0, True)):
+        resp = shard.read(req(0, *args), 0.0)
+        assert resp.status == "rejected", args
+        assert resp.reason == "position-out-of-range"
+        assert "bool" in resp.detail
+    # Plain ints still answer on the same shard.
+    assert shard.read(req(1, "prefix", 1), 0.0).result == 11
+    assert shard.read(req(2, "range", 0, 1), 0.0).result == 11

@@ -66,6 +66,7 @@ def test_unknown_snapshot_mode_rejected():
         ("save-crash", 0, "flat"),
         ("restore-crash", 0, "flat"),
         ("corruption", 1, "reference"),
+        ("pinned", 0, "flat"),
     ],
 )
 def test_fuzz_exercises_spot_checks(name, seed, backend):
@@ -74,7 +75,7 @@ def test_fuzz_exercises_spot_checks(name, seed, backend):
 
 
 def test_fuzz_one_clean():
-    for seed in range(4):  # one full schedule rotation
+    for seed in range(5):  # one full schedule rotation
         outcome = SNAPSHOTS.run_seed(seed, SNAPSHOTS.default_size)
         assert outcome.ok, outcome.failure
 

@@ -113,7 +113,7 @@ def test_cli_replay_corpus_entry(tmp_path):
 COVERAGE_RUNS = {
     "differential": (["--scenario", "list", "--ops", "20"], ["--ops", "40"]),
     "recovery": (["--ops", "40"], ["--ops", "40", "--runs", "4"]),
-    "snapshots": ([], ["--runs", "4"]),
+    "snapshots": ([], ["--runs", "5"]),
     "chaos": (["--ops", "100"], ["--ops", "100", "--runs", "30"]),
 }
 
