@@ -4,16 +4,19 @@ An AST rule engine (:mod:`repro.lint.engine`) plus the repo's
 registered invariants (:mod:`repro.lint.config`):
 
 * **R001** every raise uses the :mod:`repro.errors` taxonomy;
-* **R002** randomness flows through seeded ``random.Random`` seams;
 * **R003** the flat backend stays a drop-in twin of the reference;
 * **R004** interior mutations are journaled or crash-point hooks;
-* **R005** modules declare their export surface via ``__all__``;
-* **R101–R103** PRAM step programs obey the synchronous step
-  discipline (no same-step stale reads, no ``poke`` inside programs,
-  no COMMON-policy writer disagreement).
+* **R005** modules declare their export surface via ``__all__``.
 
-Run ``python -m repro.lint [--json]``; the repo-clean self-check in
-``tests/lint/test_repo_clean.py`` keeps ``src/repro`` at zero findings.
+The interprocedural pass (:mod:`repro.lint.effects`, rules R201, R202,
+R204) reports module-level randomness in any function and the rest of
+nondeterminism along batch call paths.  PRAM step discipline is checked
+at run time by :mod:`repro.pram.sanitizer`, over sanitized runs of the
+shipped step programs (``tests/pram/test_sanitized_programs.py``).
+
+Run ``python -m repro.lint [--effects] [--json]``; the repo-clean
+self-check in ``tests/lint/test_repo_clean.py`` keeps ``src/repro`` at
+zero findings.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from .config import REPO_CONFIG
+from .effects import EffectsReport, run_effects
 from .engine import LintReport, run_lint
 from .rules import default_rules
 
@@ -43,10 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-level invariant checks for the repo: error-taxonomy "
-            "raises (R001), sanctioned randomness (R002), backend API "
-            "parity (R003), journal/crash-point coverage (R004), "
-            "__all__ hygiene (R005) and the PRAM step-discipline race "
-            "detector (R101-R103)."
+            "raises (R001), backend API parity (R003), journal/"
+            "crash-point coverage (R004) and __all__ hygiene (R005)."
         ),
     )
     parser.add_argument(
@@ -85,75 +84,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     root = Path(args.root).resolve() if args.root else repo_root()
     targets: List[str] = list(args.targets) or list(_DEFAULT_TARGETS)
-    if args.effects:
-        return _main_effects(
-            root,
-            targets,
-            use_cache=not args.no_cache,
-            as_json=bool(args.json),
-        )
+    report: Union[LintReport, EffectsReport]
     try:
-        report = run_lint(root, targets, default_rules(REPO_CONFIG))
+        if args.effects:
+            report = run_effects(
+                root, targets, REPO_CONFIG, use_cache=not args.no_cache
+            )
+            header = (
+                f"repro.lint --effects: {report.files} files, "
+                f"{len(report.functions)} functions, cache "
+                f"{report.cache_hits} hit/{report.cache_misses} miss"
+            )
+        else:
+            report = run_lint(root, targets, default_rules(REPO_CONFIG))
+            header = (
+                f"repro.lint: {report.files} files, rules "
+                f"{'/'.join(report.rules)}"
+            )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SyntaxError as exc:
         print(f"error: cannot parse target: {exc}", file=sys.stderr)
         return 2
-    _render(report, as_json=bool(args.json))
-    return 0 if report.clean else 1
-
-
-def _main_effects(
-    root: Path,
-    targets: Sequence[str],
-    *,
-    use_cache: bool,
-    as_json: bool,
-) -> int:
-    from .effects import run_effects
-
-    try:
-        report = run_effects(root, targets, REPO_CONFIG, use_cache=use_cache)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SyntaxError as exc:
-        print(f"error: cannot parse target: {exc}", file=sys.stderr)
-        return 2
-    if as_json:
+    if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         for finding in report.findings:
             print(finding)
-        counts = report.counts()
         summary = (
-            ", ".join(f"{rule}={n}" for rule, n in sorted(counts.items()))
+            ", ".join(
+                f"{rule}={n}" for rule, n in sorted(report.counts().items())
+            )
             or "none"
         )
         status = "clean" if report.clean else "FINDINGS"
-        print(
-            f"repro.lint --effects: {report.files} files, "
-            f"{len(report.functions)} functions, cache "
-            f"{report.cache_hits} hit/{report.cache_misses} miss -> "
-            f"{status} ({summary})"
-        )
+        print(f"{header} -> {status} ({summary})")
     return 0 if report.clean else 1
-
-
-def _render(report: LintReport, *, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-        return
-    for finding in report.findings:
-        print(finding)
-    counts = report.counts()
-    summary = (
-        ", ".join(f"{rule}={n}" for rule, n in sorted(counts.items()))
-        or "none"
-    )
-    status = "clean" if report.clean else "FINDINGS"
-    print(
-        f"repro.lint: {report.files} files, rules "
-        f"{'/'.join(report.rules)} -> {status} ({summary})"
-    )

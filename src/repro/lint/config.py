@@ -398,44 +398,6 @@ SNAPSHOT_EXEMPT: FrozenSet[str] = frozenset({"SnapshotIO"})
 
 
 # ---------------------------------------------------------------------------
-# R002 — sanctioned randomness seams
-# ---------------------------------------------------------------------------
-
-#: ``path::qualname`` entries allowed to draw module-level randomness.
-#: Empty today: every RNG in the repo is a seeded ``random.Random``
-#: instance threaded through constructors (the lockstep-replay
-#: contract).  Register new seams here, never inline.
-RNG_SEAMS: FrozenSet[str] = frozenset()
-
-
-# ---------------------------------------------------------------------------
-# Race detector — sanctioned CRCW races
-# ---------------------------------------------------------------------------
-
-#: ``(path, family)`` pairs where concurrent same-step read/write or
-#: multi-writer traffic is *the algorithm* (monotone flag marking under
-#: a combining policy), not a bug.  Mirrors the dynamic sanitizer's
-#: ``sanctioned`` parameter.
-SANCTIONED_RACES: FrozenSet[Tuple[str, str]] = frozenset(
-    {
-        # Theorem 2.1 processor activation: walkers and splitters mark
-        # ACTIVE concurrently under WritePolicy.MAX; the flag is
-        # monotone (0 -> 1) so every interleaving commits the same
-        # memory.  The `low` coverage cells combine under MAX the same
-        # way.
-        ("src/repro/splitting/activation_pram.py", "active"),
-        ("src/repro/splitting/activation_pram.py", "low"),
-        # Resilience psum reduction: workers poll their input cells
-        # until the (single) writer's value appears.  A read landing in
-        # the writer's step observes the pre-write value (None) and
-        # simply polls again next step — the cell is write-once, so
-        # every interleaving converges on the same sum.
-        ("src/repro/resilience/harness.py", "s"),
-    }
-)
-
-
-# ---------------------------------------------------------------------------
 # R001 — raise-site policy
 # ---------------------------------------------------------------------------
 
@@ -665,8 +627,6 @@ class LintConfig:
     snapshot_specs: Tuple[SnapshotSpec, ...] = SNAPSHOT_SPECS
     snapshot_exempt: FrozenSet[str] = SNAPSHOT_EXEMPT
     crash_points_path: str = CRASH_POINTS_PATH
-    rng_seams: FrozenSet[str] = RNG_SEAMS
-    sanctioned_races: FrozenSet[Tuple[str, str]] = SANCTIONED_RACES
     allowed_builtins: FrozenSet[str] = R001_ALLOWED_BUILTINS
     forbidden_builtins: FrozenSet[str] = R001_FORBIDDEN_BUILTINS
     #: Modules exempt from R005's "must define __all__" requirement

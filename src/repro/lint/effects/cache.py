@@ -7,8 +7,9 @@ by the sha256 of its *content* — a warm run re-hashes every target
 (fast), loads summaries for unchanged files without parsing, and
 re-extracts only what actually changed.  The cache also records a
 fingerprint of the extraction spec (column/field universes, seam
-prefixes): a config change invalidates everything, because summaries
-are spec-dependent.
+prefixes) and of the extractor's own source: a config change or an
+extractor edit invalidates everything, because summaries depend on
+both.  ``_CACHE_SCHEMA`` versions only the file layout.
 
 The cache lives at ``<root>/.lint-cache/effects.json`` (gitignored) and
 is best-effort throughout: unreadable or stale entries degrade to a

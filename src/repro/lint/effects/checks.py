@@ -1,11 +1,13 @@
 """The R2xx rule family: path-sensitive checks over the effect graph.
 
 * **R201** — no unsanctioned nondeterminism (module-level RNG, wall
-  clock, set iteration) reachable from a public batch entry point.
-  Sanctioned draws through the seeded ``rng`` seam are ``rng`` atoms and
-  never findings here; this lifts rule R002 from call *sites* to call
-  *paths* (the paper's RNG-parity claim needs the whole batch closure
-  deterministic, not just the entry function).
+  clock, set iteration) reachable from a public batch entry point, and
+  no module-level randomness anywhere in the analysed code.  Sanctioned
+  draws through the seeded ``rng`` seam are ``rng`` atoms and never
+  findings here.  The paper's RNG-parity claim needs the whole batch
+  closure deterministic, not just the entry function; a ``global-rng``
+  atom off every closure (a load generator, a harness) is reported at
+  its site, because lockstep replay needs every coin flip seeded.
 * **R202** — every mutation effect reachable from a batch entry point
   is dominated by a snapshot/journal seam: a transaction bracket
   (``_txn_begin``, rule R004's journal references, a registered
@@ -22,14 +24,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from ..engine import Finding
-from .graph import EffectGraph, SourcedAtom
+from .graph import EffectGraph
 from .model import (
+    KIND_GLOBAL_RNG,
     KIND_MUT_COL,
     KIND_MUT_NODE,
-    KIND_MUT_OTHER,
+    MUT_KINDS,
     NONDET_KINDS,
     Atom,
     ModuleSummary,
@@ -56,6 +59,12 @@ class EffectPolicy:
         self.allowlist = {r: dict(m) for r, m in allowlist.items()}
         self.columns = columns
         self.node_fields = node_fields
+
+    def restorable(self, atom: Atom) -> bool:
+        """Does ``atom`` mutate state the snapshot layer restores?"""
+        return (
+            atom.kind == KIND_MUT_COL and atom.detail in self.columns
+        ) or (atom.kind == KIND_MUT_NODE and atom.detail in self.node_fields)
 
 
 def run_checks(
@@ -96,17 +105,35 @@ def _owner_path(owner_fid: str) -> Tuple[str, str]:
     return path, qual
 
 
-def _entry_fid(
-    graph: EffectGraph,
-    entry: Tuple[str, str, str, Tuple[str, ...]],
-) -> Optional[str]:
-    path, class_name, method, _rules = entry
-    return graph.find_entry(path, class_name, method)
+_Entry = Tuple[str, str, str, Tuple[str, ...]]
 
 
-def _entry_label(entry: Tuple[str, str, str, Tuple[str, ...]]) -> str:
+def _entry_label(entry: _Entry) -> str:
     path, class_name, method, _rules = entry
     return f"{class_name}.{method}" if class_name else method
+
+
+def _resolved_entries(
+    graph: EffectGraph, policy: EffectPolicy, rule: str, out: List[Finding]
+) -> Iterator[Tuple[_Entry, str]]:
+    """The entries ``rule`` applies to, with their resolved fids; an
+    entry that resolves to nothing is a registry-drift finding."""
+    for entry in policy.entries:
+        if rule not in entry[3]:
+            continue
+        fid = graph.find_entry(entry[0], entry[1], entry[2])
+        if fid is None:
+            out.append(
+                _finding(
+                    rule,
+                    entry[0],
+                    0,
+                    f"configured entry point {_entry_label(entry)} not "
+                    "found (registry drift)",
+                )
+            )
+        else:
+            yield entry, fid
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +146,7 @@ def _check_r201(
 ) -> List[Finding]:
     out: List[Finding] = []
     seen: Dict[Tuple[str, Atom], Tuple[str, List[str]]] = {}
-    for entry in policy.entries:
-        if "R201" not in entry[3]:
-            continue
-        fid = _entry_fid(graph, entry)
-        if fid is None:
-            out.append(
-                _finding(
-                    "R201",
-                    entry[0],
-                    0,
-                    f"configured entry point {_entry_label(entry)} not "
-                    "found (registry drift)",
-                )
-            )
-            continue
+    for entry, fid in _resolved_entries(graph, policy, "R201", out):
         pred = graph.reachable([fid])
         for owner, atom in graph.atoms_in(pred, NONDET_KINDS):
             key = (owner, atom)
@@ -160,6 +173,24 @@ def _check_r201(
                 "the sanctioned rng seam or sort before iterating",
             )
         )
+    # Module-level randomness off every entry closure: reported at its
+    # site, since any unseeded draw breaks lockstep replay.
+    for owner, fn in sorted(graph.functions.items()):
+        if _allowed(policy, "R201", owner):
+            continue
+        for atom in fn.atoms:
+            if atom.kind != KIND_GLOBAL_RNG or (owner, atom) in seen:
+                continue
+            out.append(
+                _finding(
+                    "R201",
+                    fn.path,
+                    atom.line,
+                    f"module-level randomness ({atom.detail}) in "
+                    f"{fn.qualname}; draw from a seeded random.Random "
+                    "threaded through the constructor",
+                )
+            )
     return out
 
 
@@ -175,21 +206,7 @@ def _check_r202(
     guard_fids = frozenset(policy.txn_guards)
     exposed = graph.exposed_mutations(guard_fids)
     seen: Set[Tuple[str, Atom]] = set()
-    for entry in policy.entries:
-        if "R202" not in entry[3]:
-            continue
-        fid = _entry_fid(graph, entry)
-        if fid is None:
-            out.append(
-                _finding(
-                    "R202",
-                    entry[0],
-                    0,
-                    f"configured entry point {_entry_label(entry)} not "
-                    "found (registry drift)",
-                )
-            )
-            continue
+    for entry, fid in _resolved_entries(graph, policy, "R202", out):
         for owner, atom in sorted(exposed.get(fid, frozenset())):
             key = (owner, atom)
             if key in seen:
@@ -199,12 +216,7 @@ def _check_r202(
                 continue
             path, qual = _owner_path(owner)
             chain = graph.unguarded_path(fid, owner, guard_fids)
-            if atom.kind == KIND_MUT_COL and atom.detail in policy.columns:
-                coverage = "snapshot-covered, so a seam would restore it"
-            elif (
-                atom.kind == KIND_MUT_NODE
-                and atom.detail in policy.node_fields
-            ):
+            if policy.restorable(atom):
                 coverage = "snapshot-covered, so a seam would restore it"
             else:
                 coverage = (
@@ -240,17 +252,7 @@ def _check_r204(
         if not fn.opens_txn:
             continue
         for owner, atom in graph.txn_region_atoms(fid):
-            covered = (
-                atom.kind == KIND_MUT_COL and atom.detail in policy.columns
-            ) or (
-                atom.kind == KIND_MUT_NODE
-                and atom.detail in policy.node_fields
-            )
-            if covered or atom.kind not in (
-                KIND_MUT_OTHER,
-                KIND_MUT_COL,
-                KIND_MUT_NODE,
-            ):
+            if atom.kind not in MUT_KINDS or policy.restorable(atom):
                 continue
             if _allowed(policy, "R204", owner):
                 continue

@@ -28,6 +28,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import re
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .model import (
@@ -51,47 +52,39 @@ __all__ = ["ExtractionSpec", "extract_module", "file_sha256"]
 
 _IGNORE_RE = re.compile(r"#\s*lint:\s*ignore\[([A-Z0-9,\s]+)\]")
 
-#: Module-level ``random`` functions (mirrors rule R002's table).
-_GLOBAL_RANDOM_FNS = frozenset(
+#: The one randomness table: every ``random`` function that draws from,
+#: seeds or snapshots a generator.  Called on the module it is the
+#: process-global RNG (``global-rng``); called on a seeded instance it
+#: is a sanctioned ``rng`` draw.
+_RANDOM_FNS = frozenset(
     {
         "random",
         "randint",
         "randrange",
+        "randbytes",
         "getrandbits",
         "choice",
         "choices",
         "shuffle",
         "sample",
         "uniform",
-        "seed",
+        "triangular",
         "betavariate",
         "expovariate",
         "gauss",
         "normalvariate",
-        "triangular",
+        "lognormvariate",
+        "paretovariate",
         "vonmisesvariate",
+        "weibullvariate",
+        "seed",
+        "getstate",
+        "setstate",
     }
 )
 
 _TIME_FNS = frozenset(
     {"time", "monotonic", "perf_counter", "time_ns", "monotonic_ns"}
-)
-
-_RNG_DRAW_METHODS = frozenset(
-    {
-        "random",
-        "randint",
-        "randrange",
-        "getrandbits",
-        "choice",
-        "choices",
-        "shuffle",
-        "sample",
-        "uniform",
-        "seed",
-        "getstate",
-        "setstate",
-    }
 )
 
 _LIST_MUTATORS = frozenset(
@@ -154,6 +147,16 @@ _DUCK_DENYLIST = frozenset(
 
 _BROAD_CATCHES = frozenset({"BaseException", "Exception", "ReproError"})
 
+#: Digest of the extractor's own source: a summary is only as current as
+#: the code that produced it, so any edit here or in the model
+#: invalidates every cached summary.
+_EXTRACTOR_DIGEST = hashlib.sha256(
+    b"".join(
+        (Path(__file__).parent / name).read_bytes()
+        for name in ("extract.py", "model.py")
+    )
+).hexdigest()
+
 
 class ExtractionSpec:
     """What the extractor must know about the repo being scanned.
@@ -180,7 +183,7 @@ class ExtractionSpec:
         return any(relpath.startswith(p) for p in self.seam_prefixes)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
+        h = hashlib.sha256(_EXTRACTOR_DIGEST.encode())
         for part in (
             sorted(self.columns),
             sorted(self.node_fields),
@@ -224,12 +227,16 @@ def extract_module(
                 )
 
     skip_mut = spec.is_seam_path(relpath)
+    # Statements that run at import time (module and class bodies,
+    # decorators, default values) are scanned for randomness only.
+    top = _FunctionScanner(spec, True, symbol_imports)
 
     def walk_body(
         body: Sequence[ast.stmt], prefix: str, class_name: str
     ) -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                top.scan_def_time(stmt)
                 _extract_function(
                     functions,
                     relpath,
@@ -238,8 +245,10 @@ def extract_module(
                     class_name,
                     spec,
                     skip_mut,
+                    symbol_imports,
                 )
             elif isinstance(stmt, ast.ClassDef):
+                top.scan_def_time(stmt)
                 qual = f"{prefix}{stmt.name}"
                 if not prefix:  # only top-level classes join the registry
                     classes[stmt.name] = tuple(
@@ -250,8 +259,22 @@ def extract_module(
                         if isinstance(b, ast.Attribute)
                     )
                 walk_body(stmt.body, f"{qual}.", stmt.name)
+            else:
+                top.scan_body([stmt])
 
     walk_body(tree.body, "", "")
+    import_time = [a for a in top.atoms if a.kind == KIND_GLOBAL_RNG]
+    if import_time:
+        functions.append(
+            FunctionSummary(
+                path=relpath,
+                qualname="<module>",
+                class_name="",
+                name="<module>",
+                lineno=import_time[0].line,
+                atoms=tuple(import_time),
+            )
+        )
 
     pragmas: Dict[int, Tuple[str, ...]] = {}
     for i, text in enumerate(source.splitlines(), start=1):
@@ -311,9 +334,10 @@ def _extract_function(
     class_name: str,
     spec: ExtractionSpec,
     skip_mut: bool,
+    imports: Dict[str, str],
 ) -> None:
     qualname = f"{prefix}{fn.name}"
-    scanner = _FunctionScanner(spec, skip_mut)
+    scanner = _FunctionScanner(spec, skip_mut, imports)
     scanner.scan_body(fn.body)
     out.append(
         FunctionSummary(
@@ -338,6 +362,7 @@ def _extract_function(
             class_name,
             spec,
             skip_mut,
+            imports,
         )
 
 
@@ -360,9 +385,16 @@ class _FunctionScanner:
     """Ordered walk of one function body (lambdas folded in, nested
     defs deferred to their own summaries)."""
 
-    def __init__(self, spec: ExtractionSpec, skip_mut: bool) -> None:
+    def __init__(
+        self,
+        spec: ExtractionSpec,
+        skip_mut: bool,
+        imports: Dict[str, str],
+    ) -> None:
         self.spec = spec
         self.skip_mut = skip_mut
+        #: local name -> ``module::symbol`` of the file's from-imports.
+        self.imports = imports
         self.atoms: List[Atom] = []
         self.calls: List[CallDesc] = []
         self.handlers: List[Handler] = []
@@ -380,8 +412,23 @@ class _FunctionScanner:
         for stmt in body:
             self._scan_stmt(stmt)
 
+    def scan_def_time(
+        self, stmt: "ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef"
+    ) -> None:
+        """Decorators, bases and default values run where the
+        ``def``/``class`` statement runs, not in its body."""
+        exprs: List[ast.expr] = list(stmt.decorator_list)
+        if isinstance(stmt, ast.ClassDef):
+            exprs += stmt.bases + [kw.value for kw in stmt.keywords]
+        else:
+            exprs += stmt.args.defaults
+            exprs += [d for d in stmt.args.kw_defaults if d is not None]
+        for expr in exprs:
+            self._scan_expr(expr)
+
     def _scan_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self.scan_def_time(stmt)
             self.nested.append(stmt)
             self._local_defs.add(stmt.name)
             return
@@ -596,6 +643,11 @@ class _FunctionScanner:
             if name in self.rng_aliases:
                 self.atoms.append(Atom(KIND_RNG, name, line))
                 return
+            module, _, symbol = self.imports.get(name, "").partition("::")
+            atom = _randomness_atom(module, symbol, call, line)
+            if atom is not None:
+                self.atoms.append(atom)
+                return
             if name == "txn_begin" and not self.txn_line:
                 self.txn_line = line
             self.calls.append(CallDesc("name", "", name, line, callbacks))
@@ -618,7 +670,7 @@ class _FunctionScanner:
         if self._is_rngish(func.value) or (
             chain is not None and "_rng" in chain[:-1]
         ):
-            if method in _RNG_DRAW_METHODS:
+            if method in _RANDOM_FNS:
                 self.atoms.append(Atom(KIND_RNG, method, line))
             return
 
@@ -668,28 +720,19 @@ class _FunctionScanner:
         """Atom for ``root.fn(...)`` when ``root`` names a library
         module we classify.  ``Atom(kind="")`` means "recognised,
         effect-free"; ``None`` means "not a module call"."""
+        rng = _randomness_atom(root, fn, call, line)
+        if rng is not None:
+            return rng
         if root == "random":
-            if fn in _GLOBAL_RANDOM_FNS:
-                return Atom(KIND_GLOBAL_RNG, f"random.{fn}", line)
-            if fn == "Random":
-                if call.args or call.keywords:
-                    return Atom(KIND_RNG, "Random(seed)", line)
-                return Atom(KIND_GLOBAL_RNG, "random.Random()", line)
             return Atom("", "", line)
         if root == "time" and fn in _TIME_FNS:
             return Atom(KIND_TIME, f"time.{fn}", line)
         if root == "datetime" and fn in ("now", "utcnow", "today"):
             return Atom(KIND_TIME, f"datetime.{fn}", line)
         if root == "os":
-            if fn == "urandom":
-                return Atom(KIND_GLOBAL_RNG, "os.urandom", line)
             if fn in _IO_OS_FNS:
                 return Atom(KIND_IO, f"os.{fn}", line)
             return Atom("", "", line)
-        if root == "secrets":
-            return Atom(KIND_GLOBAL_RNG, f"secrets.{fn}", line)
-        if root == "uuid" and fn in ("uuid1", "uuid4"):
-            return Atom(KIND_GLOBAL_RNG, f"uuid.{fn}", line)
         if root == "shutil":
             return Atom(KIND_IO, f"shutil.{fn}", line)
         if root == "math":
@@ -788,6 +831,28 @@ class _FunctionScanner:
         self.handlers.append(
             Handler(handler.lineno, types, broad, reraises)
         )
+
+
+def _randomness_atom(
+    module: str, fn: str, call: ast.Call, line: int
+) -> Optional[Atom]:
+    """Classify a call of ``fn`` from library ``module`` (spelled
+    ``module.fn(...)`` or as a from-imported bare name): a ``global-rng``
+    or seeded ``rng`` atom, or None when it draws no randomness."""
+    if module == "random":
+        if fn == "Random":
+            if call.args or call.keywords:
+                return Atom(KIND_RNG, "Random(seed)", line)
+            return Atom(KIND_GLOBAL_RNG, "random.Random()", line)
+        if fn in _RANDOM_FNS:
+            return Atom(KIND_GLOBAL_RNG, f"random.{fn}", line)
+    elif (
+        module == "secrets"
+        or (module == "os" and fn == "urandom")
+        or (module == "uuid" and fn in ("uuid1", "uuid4"))
+    ):
+        return Atom(KIND_GLOBAL_RNG, f"{module}.{fn}", line)
+    return None
 
 
 def _body_reraises(body: Sequence[ast.stmt]) -> bool:

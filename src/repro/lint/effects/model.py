@@ -31,8 +31,6 @@ kind             meaning
                  private container — state no snapshot restores
 ``io``           persistence (``open``, ``os.replace``/``rename``/…,
                  ``Path.write_*``)
-``spawn``        process machinery (``get_context``, ``ctx.Process``,
-                 ``ctx.Pipe``)
 ``raise``        a raise site, detail = exception type name
 ===============  ============================================================
 """

@@ -1,7 +1,7 @@
 """AST-based rule engine for the repo's static invariants.
 
 The engine loads every target module once into a :class:`ModuleInfo`
-(source lines + parsed ``ast`` tree with parent links), hands the whole
+(source lines + parsed ``ast`` tree), hands the whole
 :class:`RepoContext` to each registered :class:`Rule`, and collects
 :class:`Finding` records.  Machine-readable output mirrors the perf
 harness / regression gate convention (``benchmarks/regress.py``): a
@@ -77,12 +77,6 @@ class ModuleInfo:
         self.source = path.read_text(encoding="utf-8")
         self.lines = self.source.splitlines()
         self.tree = ast.parse(self.source, filename=str(path))
-        # Parent links let rules walk outward (e.g. "is this call inside
-        # a generator function?").
-        self.parents: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                self.parents[child] = parent
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):

@@ -11,22 +11,16 @@ from typing import List
 
 from ..config import LintConfig
 from ..engine import Rule
-from ..races import CommonDisagreementRule, PokeInStepRule, StaleReadRule
 from .exports import ExportHygieneRule
 from .journal import JournalCoverageRule
 from .parity import BackendParityRule
 from .raises import BareRaiseRule
-from .randomness import RandomnessRule
 
 __all__ = [
     "BareRaiseRule",
-    "RandomnessRule",
     "BackendParityRule",
     "JournalCoverageRule",
     "ExportHygieneRule",
-    "StaleReadRule",
-    "PokeInStepRule",
-    "CommonDisagreementRule",
     "default_rules",
 ]
 
@@ -34,11 +28,7 @@ __all__ = [
 def default_rules(config: LintConfig) -> List[Rule]:
     return [
         BareRaiseRule(config),
-        RandomnessRule(config),
         BackendParityRule(config),
         JournalCoverageRule(config),
         ExportHygieneRule(config),
-        StaleReadRule(config),
-        PokeInStepRule(config),
-        CommonDisagreementRule(config),
     ]

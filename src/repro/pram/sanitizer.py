@@ -1,11 +1,12 @@
 """Dynamic step-discipline sanitizer for the CRCW shared memory.
 
-The static race detector (:mod:`repro.lint.races`) proves step
-discipline for programs it can model; :class:`SanitizingSharedMemory`
-asserts the *same* hazards at runtime for anything the static pass
-cannot see (data-dependent addresses, host-driven spawn loops, forked
-processors).  It records per-address writer provenance and checks, at
-every step boundary:
+:class:`SanitizingSharedMemory` is the repo's one check of the PRAM
+step discipline.  It asserts the hazards on executed traces, so it sees
+data-dependent addresses, host-driven spawn loops and forked processors
+alike, but only on the runs it is given:
+``tests/pram/test_sanitized_programs.py`` runs every shipped step
+program sanitized on pinned seeds and sizes.  It records per-address
+writer provenance and checks, at every step boundary:
 
 * **stale-read** — some processor read an address while another
   processor's write to the same address was staged in the same step.
@@ -23,8 +24,8 @@ every step boundary:
   step-boundary contract.
 
 Intentional CRCW races (e.g. the Theorem 2.1 concurrent ``ACTIVE``
-marking under ``MAX``) are declared via ``sanctioned`` address families
-— the dynamic twin of the static detector's sanctioned-seam registry.
+marking under ``MAX``) are declared via ``sanctioned`` address families,
+where the program builds its machine.
 
 Use ``mode="raise"`` (default) to fail fast with
 :class:`~repro.errors.StepDisciplineError`, or ``mode="record"`` to

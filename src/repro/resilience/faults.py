@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..errors import InvalidParameterError
 from ..pram.machine import Machine
 from ..pram.memory import SharedMemory, WritePolicy
 from ..pram.ops import Local, Program
@@ -260,6 +261,9 @@ class FaultyMachine(Machine):
       :class:`~repro.errors.MachineHangError`.
 
     Every fired fault appends a human-readable line to ``fault_log``.
+    Memory-fault events cannot be combined with ``sanitize``: both
+    replace the machine's memory, so one would silently drop the other
+    (raises :class:`~repro.errors.InvalidParameterError`).
     """
 
     def __init__(
@@ -282,7 +286,13 @@ class FaultyMachine(Machine):
         self._forks_seen = 0
         self._steps_seen = 0
         mem_events = [e for e in self._events if e.kind in MEMORY_FAULT_KINDS]
-        if mem_events and not sanitize:
+        if mem_events and sanitize:
+            raise InvalidParameterError(
+                "memory-fault events "
+                f"{sorted({e.kind for e in mem_events})} cannot run on a "
+                "sanitized machine: both replace its shared memory"
+            )
+        if mem_events:
             # Replace the (still-empty) memory with the faulty variant.
             self.memory = FaultySharedMemory(
                 policy=self.memory.policy,

@@ -172,10 +172,16 @@ def pram_sum(
     if not values:
         return 0
     widths = _reduction_widths(len(values))
+    # Workers poll their input cells until the single writer's value
+    # appears.  A read landing in the writer's step sees the pre-write
+    # None and polls again; the cells are write-once, so every
+    # interleaving converges on the same sum (declared for the
+    # step-discipline sanitizer).
     machine = FaultyMachine(
         WritePolicy.ARBITRARY,
         seed=0,
         events=[event] if event is not None else (),
+        sanctioned=("s",),
     )
     machine.spawn(_coordinator(values, widths))
     machine.begin_faults()

@@ -103,7 +103,16 @@ def activate_on_machine(
     node ids marked ACTIVE plus the machine's metrics."""
     n = max(2, tree.n_leaves)
     theta = max(1, math.ceil(math.log2(max(2.0, len(leaves) * math.log2(n)))))
-    machine = Machine(policy=WritePolicy.MAX, max_processors=max_processors)
+    # Walkers and splitters mark ACTIVE concurrently under MAX, and a
+    # walker may read a flag another processor sets in the same step.
+    # The flag is monotone (0 -> 1), so every interleaving commits the
+    # same memory: the race is the algorithm (Theorem 2.1), declared
+    # here for the step-discipline sanitizer.
+    machine = Machine(
+        policy=WritePolicy.MAX,
+        max_processors=max_processors,
+        sanctioned=("active",),
+    )
     mem = machine.memory
     # Host-poke the tree image.
     stack: List[BSTNode] = [tree.root]

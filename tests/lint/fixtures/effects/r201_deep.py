@@ -1,8 +1,8 @@
 """R201 fixture: nondeterminism hidden two calls below the entry.
 
 ``Store.batch_put`` itself is clean — the module-level RNG draw sits in
-``_shuffle``, reached only via ``_plan`` — so a site-local rule (R002's
-scope) cannot see it; only the call-path closure can.
+``_shuffle``, reached only via ``_plan`` — so the finding must name the
+whole call path from the entry, not just the site.
 """
 
 import random

@@ -41,6 +41,9 @@ def _fixture_config(**overrides) -> LintConfig:
             ),
             EffectEntry("r202_base.py", "BaseTree", "batch_link", ("R202",)),
             EffectEntry("r202_sub.py", "FastTree", "batch_link", ("R202",)),
+            EffectEntry(
+                "r201_randomness.py", "Sampler", "batch_draw", ("R201",)
+            ),
         ),
         txn_guards={},
         effect_allowlist={},
@@ -82,6 +85,43 @@ def test_r201_violation_two_calls_deep():
     assert "Store.batch_put" in f.message
     # the chain names the intermediate hop the site-local rule misses
     assert "_plan" in f.message
+
+
+def _planted_lines(name):
+    source = (FIXTURES / name).read_text(encoding="utf-8").splitlines()
+    return [i for i, text in enumerate(source, 1) if "# planted" in text]
+
+
+def test_r201_one_finding_per_randomness_form():
+    """Every module-level randomness form (library calls, from-imported
+    bare names, import-time draws) gives exactly one finding,
+    on or off an entry closure; seeded draws give none."""
+    report = _run_fixtures()
+    hits = [
+        f for f in _by_rule(report, "R201")
+        if f.path == "r201_randomness.py"
+    ]
+    assert sorted(f.line for f in hits) == _planted_lines(
+        "r201_randomness.py"
+    )
+    assert all("module-level randomness" in f.message for f in hits)
+    on_path = [f for f in hits if "reachable from" in f.message]
+    assert len(on_path) == 1
+    assert "Sampler.batch_draw -> _jitter" in on_path[0].message
+
+
+def test_r201_allowlist_exempts_a_randomness_owner():
+    report = _run_fixtures(
+        effect_allowlist={
+            "R201": {"r201_randomness.py::entropy": "fixture justification"},
+        }
+    )
+    hits = [
+        f for f in _by_rule(report, "R201")
+        if f.path == "r201_randomness.py"
+    ]
+    assert len(hits) == 3  # the two import-time draws and _jitter's
+    assert not [f for f in hits if " in entropy" in f.message]
 
 
 def test_r201_clean_twin_and_pragma_are_silent():
@@ -402,6 +442,20 @@ def test_cache_invalidated_by_spec_change(tmp_path):
     run_effects(work, ["."], _fixture_config(), cache_file=cache_file)
     changed = _fixture_config(effect_columns=frozenset({"parent"}))
     rerun = run_effects(work, ["."], changed, cache_file=cache_file)
+    assert rerun.cache_hits == 0 and rerun.cache_misses == rerun.files
+
+
+def test_cache_invalidated_by_extractor_change(tmp_path, monkeypatch):
+    """Summaries written by a different extractor are never reused."""
+    from repro.lint.effects import extract
+
+    work = _copy_fixtures(tmp_path)
+    cache_file = tmp_path / "cache.json"
+    run_effects(work, ["."], _fixture_config(), cache_file=cache_file)
+    monkeypatch.setattr(
+        extract, "_EXTRACTOR_DIGEST", "an older extractor", raising=False
+    )
+    rerun = run_effects(work, ["."], _fixture_config(), cache_file=cache_file)
     assert rerun.cache_hits == 0 and rerun.cache_misses == rerun.files
 
 

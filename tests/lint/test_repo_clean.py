@@ -1,10 +1,10 @@
 """The repo-clean self-check: ``src/repro`` carries zero findings under
 the full default rule set.
 
-This is the tier-1 enforcement of every static invariant at once — a
-new bare raise, RNG seam, parity drift, unjournaled splice, missing
-``__all__`` or step-discipline race anywhere in the library fails this
-test with the exact file:line finding in the assertion message.
+This is the tier-1 enforcement of every site rule at once — a new bare
+raise, parity drift, unjournaled splice or missing ``__all__`` anywhere
+in the library fails this test with the exact file:line finding in the
+assertion message.
 """
 
 from __future__ import annotations
@@ -27,13 +27,4 @@ def test_src_repro_is_lint_clean():
 
 def test_default_rule_ids_are_stable():
     ids = [rule.id for rule in default_rules(REPO_CONFIG)]
-    assert ids == [
-        "R001",
-        "R002",
-        "R003",
-        "R004",
-        "R005",
-        "R101",
-        "R102",
-        "R103",
-    ]
+    assert ids == ["R001", "R003", "R004", "R005"]

@@ -21,7 +21,6 @@ from repro.lint.rules import (
     BareRaiseRule,
     ExportHygieneRule,
     JournalCoverageRule,
-    RandomnessRule,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -56,35 +55,6 @@ def test_r001_clean_twin_passes():
 
 def test_r001_pragma_suppression():
     report = _run(["r001_suppressed.py"], [BareRaiseRule(REPO_CONFIG)])
-    assert report.clean
-
-
-# ---------------------------------------------------------------------------
-# R002 — unsanctioned randomness
-# ---------------------------------------------------------------------------
-
-
-def test_r002_flags_planted_randomness():
-    report = _run(["r002_bad.py"], [RandomnessRule(REPO_CONFIG)])
-    assert _rules_of(report) == ["R002", "R002", "R002"]
-    joined = " ".join(f.message for f in report.findings)
-    assert "global RNG" in joined
-    assert "urandom" in joined
-    assert "without a seed" in joined
-
-
-def test_r002_registered_seam_is_exempt():
-    config = LintConfig(
-        rng_seams=frozenset(
-            {"r002_bad.py::draw", "r002_bad.py::token", "r002_bad.py::fresh_rng"}
-        )
-    )
-    report = _run(["r002_bad.py"], [RandomnessRule(config)])
-    assert report.clean
-
-
-def test_r002_clean_twin_passes():
-    report = _run(["r002_good.py"], [RandomnessRule(REPO_CONFIG)])
     assert report.clean
 
 

@@ -142,7 +142,7 @@ def test_machine_sanitize_flag_installs_sanitizer():
 
 def test_machine_catches_same_step_read_write_race():
     """Two lockstep processors: one reads ("x", 0) in the very step the
-    other writes it — the dynamic twin of lint rule R101."""
+    other writes it: a same-step stale read."""
 
     def reader():
         yield Read(("x", 0))

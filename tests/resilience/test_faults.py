@@ -8,7 +8,7 @@ import pytest
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
-from repro.errors import MachineHangError
+from repro.errors import InvalidParameterError, MachineHangError
 from repro.listprefix.structure import IncrementalListPrefix
 from repro.resilience.faults import (
     MACHINE_FAULT_KINDS,
@@ -16,6 +16,7 @@ from repro.resilience.faults import (
     TREE_FAULT_KINDS,
     FaultEvent,
     FaultPlan,
+    FaultyMachine,
     corrupt_journaled_cell,
 )
 from repro.resilience.harness import pram_sum
@@ -96,6 +97,18 @@ def test_every_machine_and_memory_fault_is_detectable(kind):
         assert exc.live > 0 and exc.max_steps > 0
         return
     assert got != sum(values), f"{kind} fired but the sum came out right"
+
+
+@pytest.mark.parametrize("kind", MEMORY_FAULT_KINDS)
+def test_memory_faults_reject_the_sanitizer(kind):
+    """The sanitizer and the memory faults each replace the machine's
+    memory, so combining them would drop the faults silently."""
+    ev = FaultEvent(kind, 0, "sticky", dict(DETAIL))
+    with pytest.raises(InvalidParameterError, match=kind):
+        FaultyMachine(events=[ev], sanitize=True)
+    # machine faults compose with the sanitizer
+    hang = FaultEvent("hang", 0, "sticky", dict(DETAIL))
+    FaultyMachine(events=[hang], sanitize=True)
 
 
 def test_hang_fault_raises_machine_hang_error():
