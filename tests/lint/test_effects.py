@@ -44,6 +44,10 @@ def _fixture_config(**overrides) -> LintConfig:
             EffectEntry(
                 "r201_randomness.py", "Sampler", "batch_draw", ("R201",)
             ),
+            EffectEntry(
+                "r201_seeded_twin.py", "SeededSampler", "batch_draw",
+                ("R201",),
+            ),
         ),
         txn_guards={},
         effect_allowlist={},
@@ -130,6 +134,25 @@ def test_r201_clean_twin_and_pragma_are_silent():
     assert not [
         f for f in report.findings if f.path == "r201_suppressed.py"
     ]
+
+
+def test_r201_seeded_twin_of_every_form_is_silent():
+    """The seeded twin of r201_randomness draws through instances only:
+    each draw is extracted as a sanctioned ``rng`` atom and R201 says
+    nothing, on the registered entry's closure or off it."""
+    report = _run_fixtures()
+    assert not [
+        f for f in report.findings if f.path == "r201_seeded_twin.py"
+    ]
+    source = (FIXTURES / "r201_seeded_twin.py").read_text(encoding="utf-8")
+    mod = extract_module("r201_seeded_twin.py", source, _SPEC)
+    atoms = [a for fn in mod.functions for a in fn.atoms]
+    assert {a.kind for a in atoms} == {"rng"}
+    drawn = {a.detail for a in _fn(mod, "seeded_entropy").atoms}
+    assert {"randint", "getstate", "setstate", "shuffle"} <= drawn
+    assert {a.detail for a in _fn(mod, "SeededSampler._jitter").atoms} == {
+        "random"
+    }
 
 
 def test_r202_violation_across_subclass_boundary():

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.errors import StepDisciplineError
+from repro.errors import StepDisciplineError, WriteConflictError
 from repro.pram import programs
 from repro.pram.machine import Machine
 from repro.pram.memory import WritePolicy
@@ -179,3 +179,98 @@ def test_poke_inside_a_step_program_raises():
         machine.spawn(cheater(i, machine.memory))
     with pytest.raises(StepDisciplineError, match="poke-mid-step"):
         machine.run()
+
+
+# ---------------------------------------------------------------------------
+# planted step programs
+# ---------------------------------------------------------------------------
+
+
+def _racer(i):
+    flag = yield Read(("flag", i))
+    if flag:
+        yield Write(("x", i), 1)
+    else:
+        stale = yield Read(("x", i + 1))  # same step as i + 1's write
+        yield Write(("y", i), stale)
+
+
+def test_planted_branching_stale_read_raises():
+    """The two ``if`` arms differ in length, but the colliding events sit
+    at the same offset: an instance in the read arm loads ``("x", i + 1)``
+    in the very step its neighbour in the write arm stores it."""
+    n = 6
+    for mode in ("raise", "record"):
+        machine = Machine(policy=WritePolicy.ARBITRARY, sanitize=mode)
+        for i in range(n):
+            machine.memory.poke(("flag", i), i % 2)
+            machine.memory.poke(("x", i), 0)
+        for i in range(n - 1):
+            machine.spawn(_racer(i))
+        if mode == "raise":
+            with pytest.raises(
+                StepDisciplineError, match=r"stale-read at \('x', "
+            ):
+                machine.run()
+            continue
+        machine.run()
+        stale = sorted(
+            h.addr for h in machine.memory.hazards if h.kind == "stale-read"
+        )
+        assert stale == [("x", i) for i in range(1, n - 1, 2)]
+        # the reader saw the pre-write value
+        assert machine.memory.read(("y", 0)) == 0
+        assert machine.memory.read(("x", 1)) == 1
+
+
+def test_planted_common_disagreement_raises_sanitized():
+    """COMMON writers that each store their own index into one cell
+    disagree in the first step; the sanitized memory keeps the policy's
+    error."""
+
+    def claimer(i):
+        yield Write(("winner", 0), i)
+        _ = yield Read(("winner", 0))
+
+    machine = Machine(policy=WritePolicy.COMMON, sanitize=True)
+    for i in range(4):
+        machine.spawn(claimer(i))
+    with pytest.raises(WriteConflictError):
+        machine.run()
+
+
+def test_hillis_steele_and_agreeing_common_marker_run_clean():
+    """A full Hillis-Steele prefix pass (reads strictly before the write,
+    one writer per cell) and COMMON writers agreeing on a constant are
+    step-disciplined: both run sanitized without a hazard."""
+
+    def stepper(i, stride):
+        left = yield Read(("x", i - stride))
+        mine = yield Read(("x", i))
+        yield Write(("x", i), left + mine)
+
+    values = [3, -1, 4, 1, -5, 9, 2, 6, -5]
+    n = len(values)
+    machine = Machine(policy=WritePolicy.PRIORITY, sanitize=True)
+    for i, v in enumerate(values):
+        machine.memory.poke(("x", i), v)
+    stride = 1
+    while stride < n:
+        for i in range(stride, n):
+            machine.spawn(stepper(i, stride))
+        machine.run()
+        stride *= 2
+    assert machine.memory.hazards == []
+    prefix = [machine.memory.read(("x", i)) for i in range(n)]
+    assert prefix == [sum(values[: i + 1]) for i in range(n)]
+
+    def marker(i):
+        yield Write(("seen", 0), 1)
+        yield Write(("slot", i), 1)
+
+    machine = Machine(policy=WritePolicy.COMMON, sanitize=True)
+    for i in range(5):
+        machine.spawn(marker(i))
+    machine.run()
+    assert machine.memory.hazards == []
+    assert machine.memory.read(("seen", 0)) == 1
