@@ -1,6 +1,6 @@
-# Developer entry points.  The test suite is pure-stdlib apart from
-# pytest/hypothesis (already provisioned); nothing here installs
-# anything.
+# Developer entry points.  The test suite needs numpy (a runtime
+# dependency) and the `dev` extras of pyproject.toml (pytest,
+# hypothesis, networkx, ...); nothing here installs anything.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

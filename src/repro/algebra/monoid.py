@@ -10,7 +10,7 @@ use :func:`sum_monoid`, while the LCA application (§5) uses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from .rings import Ring
 
@@ -26,19 +26,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Monoid:
-    """An associative operation with identity.
-
-    ``ring`` is set only when ``combine`` *is* that ring's addition
-    (``sum_monoid``): it asserts the monoid is ring-sum, which lets the
-    flat backend fold prefixes through the exact vectorized
-    doubling scan instead of the sequential Python loop.  General
-    monoids leave it ``None`` and always fold sequentially.
-    """
+    """An associative operation with identity."""
 
     name: str
     identity: Any
     combine: Callable[[Any, Any], Any]
-    ring: Optional[Ring] = None
 
     def fold(self, items: Iterable[Any]) -> Any:
         acc = self.identity
@@ -52,7 +44,7 @@ class Monoid:
 
 def sum_monoid(ring: Ring) -> Monoid:
     """Addition in ``ring`` (the paper's SUM_v)."""
-    return Monoid(f"sum[{ring.name}]", ring.zero, ring.add, ring=ring)
+    return Monoid(f"sum[{ring.name}]", ring.zero, ring.add)
 
 
 def count_monoid() -> Monoid:

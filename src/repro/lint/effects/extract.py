@@ -147,6 +147,11 @@ _DUCK_DENYLIST = frozenset(
 
 _BROAD_CATCHES = frozenset({"BaseException", "Exception", "ReproError"})
 
+#: Module- and class-level statements whose bodies may define functions.
+_COMPOUND_STMTS = (
+    ast.If, ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith, ast.Try
+)
+
 #: Digest of the extractor's own source: a summary is only as current as
 #: the code that produced it, so any edit here or in the model
 #: invalidates every cached summary.
@@ -229,7 +234,7 @@ def extract_module(
     skip_mut = spec.is_seam_path(relpath)
     # Statements that run at import time (module and class bodies,
     # decorators, default values) are scanned for randomness only.
-    top = _FunctionScanner(spec, True, symbol_imports)
+    top = _FunctionScanner(spec, True, symbol_imports, module_imports)
 
     def walk_body(
         body: Sequence[ast.stmt], prefix: str, class_name: str
@@ -246,6 +251,7 @@ def extract_module(
                     spec,
                     skip_mut,
                     symbol_imports,
+                    module_imports,
                 )
             elif isinstance(stmt, ast.ClassDef):
                 top.scan_def_time(stmt)
@@ -259,6 +265,23 @@ def extract_module(
                         if isinstance(b, ast.Attribute)
                     )
                 walk_body(stmt.body, f"{qual}.", stmt.name)
+            elif isinstance(stmt, _COMPOUND_STMTS):
+                # A def under a module-level ``if``/``try``/``with`` or
+                # loop is still a module function; the headers run at
+                # import time.
+                for child in ast.iter_child_nodes(stmt):
+                    if isinstance(child, ast.expr):
+                        top._scan_expr(child)
+                    elif isinstance(child, ast.withitem):
+                        top._scan_expr(child.context_expr)
+                    elif isinstance(child, ast.ExceptHandler):
+                        if child.type is not None:
+                            top._scan_expr(child.type)
+                        walk_body(child.body, prefix, class_name)
+                for field_name in ("body", "orelse", "finalbody"):
+                    walk_body(
+                        getattr(stmt, field_name, []), prefix, class_name
+                    )
             else:
                 top.scan_body([stmt])
 
@@ -335,9 +358,10 @@ def _extract_function(
     spec: ExtractionSpec,
     skip_mut: bool,
     imports: Dict[str, str],
+    modules: Dict[str, str],
 ) -> None:
     qualname = f"{prefix}{fn.name}"
-    scanner = _FunctionScanner(spec, skip_mut, imports)
+    scanner = _FunctionScanner(spec, skip_mut, imports, modules)
     scanner.scan_body(fn.body)
     out.append(
         FunctionSummary(
@@ -363,6 +387,7 @@ def _extract_function(
             spec,
             skip_mut,
             imports,
+            modules,
         )
 
 
@@ -390,11 +415,14 @@ class _FunctionScanner:
         spec: ExtractionSpec,
         skip_mut: bool,
         imports: Dict[str, str],
+        modules: Dict[str, str],
     ) -> None:
         self.spec = spec
         self.skip_mut = skip_mut
         #: local name -> ``module::symbol`` of the file's from-imports.
         self.imports = imports
+        #: local name -> dotted module of the file's plain imports.
+        self.modules = modules
         self.atoms: List[Atom] = []
         self.calls: List[CallDesc] = []
         self.handlers: List[Handler] = []
@@ -675,7 +703,7 @@ class _FunctionScanner:
             return
 
         if chain is not None and len(chain) == 2:
-            root, _ = chain[0], chain[1]
+            root = self._module_name(chain[0])
             mod_atom = self._module_call_atom(root, method, call, line)
             if mod_atom is not None:
                 if mod_atom.kind != "":
@@ -713,6 +741,13 @@ class _FunctionScanner:
 
         if method not in _DUCK_DENYLIST:
             self.calls.append(CallDesc("duck", "", method, line, callbacks))
+
+    def _module_name(self, name: str) -> str:
+        """The module a local name stands for: ``random`` for ``rnd``
+        after ``import random as rnd``; ``os`` after ``import os.path``
+        (which binds ``os``); the name itself otherwise."""
+        target = self.modules.get(name, name)
+        return name if target.split(".")[0] == name else target
 
     def _module_call_atom(
         self, root: str, fn: str, call: ast.Call, line: int
@@ -774,7 +809,7 @@ class _FunctionScanner:
                 isinstance(func, ast.Attribute)
                 and func.attr == "Random"
                 and isinstance(func.value, ast.Name)
-                and func.value.id == "random"
+                and self._module_name(func.value.id) == "random"
                 and (expr.args or expr.keywords)
             ):
                 return True

@@ -147,19 +147,15 @@ class IncrementalListPrefix:
             pat = self._parse_tree(result, handles)
             sums = pat.summary_values()
             # Parallel prefix over the P̂T(U) leaf sequence: charged at
-            # the textbook span O(log k), work O(k).
+            # the textbook span O(log k), work O(k); computed by one
+            # sequential running fold, on both backends.
             k = len(sums)
             tracker.charge(work=2 * k, span=max(1, 2 * math.ceil(math.log2(k + 1))))
             inclusive: dict[int, Any] = {}
-            scanned = self._prefix_scan(sums)
-            if scanned is None:
-                running = self.monoid.identity
-                for entry, s in zip(pat.entries, sums):
-                    running = self.monoid.combine(running, s)
-                    inclusive[id(entry.node)] = running
-            else:
-                for entry, r in zip(pat.entries, scanned):
-                    inclusive[id(entry.node)] = r
+            running = self.monoid.identity
+            for entry, s in zip(pat.entries, sums):
+                running = self.monoid.combine(running, s)
+                inclusive[id(entry.node)] = running
             return [inclusive[id(h)] for h in handles]
         finally:
             deactivate(result)
@@ -199,20 +195,6 @@ class IncrementalListPrefix:
             deactivate(result)
 
     # -- internals --------------------------------------------------------
-    def _prefix_scan(self, sums: Sequence[Any]) -> Optional[List[Any]]:
-        """The running fold of the P̂T(U) summaries via the vectorized
-        doubling scan, or ``None`` to use the sequential loop.
-
-        Only ring-sum monoids over exact vector rings are eligible
-        (``flat_prefix_scan``), where scan ≡ fold outright — answers
-        are identical on every backend either way.
-        """
-        if not self._flat:
-            return None
-        from ..perf.flat_prefix import flat_prefix_scan
-
-        return flat_prefix_scan(self.monoid, sums)
-
     def _parse_tree(self, result, handles):
         """Flatten ``P̂T(U)`` with the construction matching the active
         backend; the produced entry sequence is identical either way."""

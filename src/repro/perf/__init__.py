@@ -18,9 +18,9 @@ cores.  This package holds those cores:
   tree of §4.2 over parallel label/topology columns with memoised
   replay; heal and replay evaluate labels in one pass in creation
   order.  Selected via ``DynamicTreeContraction(tree, backend="flat")``.
-* :mod:`~repro.perf.kernels` — affine label kernels behind the §3
-  prefix scan (NumPy-vectorized over numeric rings, pure-Python
-  otherwise; ``REPRO_KERNELS`` forces a mode).
+* :mod:`~repro.perf.kernels` — column forms of the §4.2 label rules,
+  called by no library code; kept only for the benchmark tracer, which
+  wraps them by name.
 
 Every flat core is pinned op-for-op against its reference twin by the
 differential harness in ``tests/perf/`` — same seeds, same shapes, same
@@ -33,19 +33,9 @@ from .flat_prefix import (
     FlatSummaryRef,
     flat_extended_parse_tree,
     flat_prefix_fold,
-    flat_prefix_scan,
 )
 from .flat_rbsts import FlatLeaf, FlatRBSTS
-from .kernels import (
-    KERNEL_ENV,
-    NumpyKernels,
-    PythonKernels,
-    VectorRing,
-    kernel_mode,
-    prefix_compose,
-    select_kernels,
-    vector_ring_for,
-)
+from .kernels import PythonKernels, select_kernels
 
 __all__ = [
     "FlatActivationResult",
@@ -53,17 +43,10 @@ __all__ = [
     "FlatLeaf",
     "FlatRBSTS",
     "FlatSummaryRef",
-    "KERNEL_ENV",
-    "NumpyKernels",
     "PythonKernels",
-    "VectorRing",
     "flat_activate",
     "flat_deactivate",
     "flat_extended_parse_tree",
     "flat_prefix_fold",
-    "flat_prefix_scan",
-    "kernel_mode",
-    "prefix_compose",
     "select_kernels",
-    "vector_ring_for",
 ]

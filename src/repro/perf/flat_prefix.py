@@ -16,33 +16,23 @@ without backend-specific code downstream of construction:
   ``summary`` and ``n_leaves`` (all the prefix/range-fold passes read).
 
 :func:`flat_prefix_fold` is the sequential one-leaf prefix walk of
-§1.2 over the arrays; :func:`flat_prefix_scan` is the batched running
-fold routed through the §3 vectorized doubling scan
-(:func:`~repro.perf.kernels.prefix_compose`) for ring-sum monoids over
-exact vector rings.
+§1.2 over the arrays.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set
+from typing import Any, List, Sequence, Set
 
 from ..algebra.monoid import Monoid
 from ..errors import ParseTreeError
 from ..splitting.parse_tree import ExtendedParseTree, PTEntry
 from .flat_rbsts import NIL, FlatLeaf, FlatRBSTS
-from .kernels import prefix_compose, vector_ring_for
 
 __all__ = [
     "FlatSummaryRef",
     "flat_extended_parse_tree",
     "flat_prefix_fold",
-    "flat_prefix_scan",
 ]
-
-#: Below this many summaries the sequential fold wins (list→array
-#: conversion dominates); both paths are exact, so the answer cannot
-#: depend on the choice.
-FLAT_SCAN_CUTOFF = 192
 
 
 class FlatSummaryRef:
@@ -120,27 +110,3 @@ def flat_prefix_fold(tree: FlatRBSTS, monoid: Monoid, handle: FlatLeaf) -> Any:
         p = parent[node]
     return monoid.combine(acc_left, summary[idx])
 
-
-def flat_prefix_scan(monoid: Monoid, sums: Sequence[Any]) -> Optional[List[Any]]:
-    """Inclusive running fold of ``sums`` through the vectorized
-    doubling scan, or ``None`` when the sequential fold must be used.
-
-    Eligible only when ``monoid`` is a ring-sum (``monoid.ring`` set)
-    over an *exact* vector ring: there the scan's bracketing equals the
-    sequential left fold outright, so
-    :meth:`~repro.listprefix.structure.IncrementalListPrefix.batch_prefix`
-    can swap it in without changing a single answer.  Float rings are
-    never eligible (IEEE addition is not associative — the reference
-    fold order is the contract).  Each value becomes the affine label
-    ``(1, v)``, whose composition chain is exactly the running sum —
-    this *is* :func:`~repro.perf.kernels.prefix_compose` with slope 1,
-    including its per-stride magnitude guards for unbounded ``Z``.
-    """
-    ring = getattr(monoid, "ring", None)
-    if ring is None or len(sums) < FLAT_SCAN_CUTOFF:
-        return None
-    vec = vector_ring_for(ring)
-    if vec is None or (vec.modulus is None and vec.guard is None):
-        return None
-    one = ring.one
-    return [b for _, b in prefix_compose(ring, [(one, s) for s in sums])]

@@ -52,9 +52,8 @@ __all__ = [
 
 #: Rings the fuzzer drives (hypothesis covers the exotic ones).
 #: ``boolean`` is non-numeric on purpose: its ``add``/``mul`` are
-#: ``or``/``and`` with no NumPy mapping (see
-#: ``repro.perf.kernels.vector_ring_for``), so corpus replay keeps the
-#: label rules pinned on a ring that is not array arithmetic.
+#: ``or``/``and``, so corpus replay keeps the label rules pinned on a
+#: ring that is not integer arithmetic.
 FUZZ_RINGS: Dict[str, Ring] = {
     "integer": INTEGER,
     "mod97": modular_ring(97),

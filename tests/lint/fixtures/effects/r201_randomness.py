@@ -1,4 +1,5 @@
-"""R201 fixture: every module-level randomness form, one per line.
+"""R201 fixture: every module-level randomness form, one per line,
+spelled directly and through a module alias.
 
 Each line marked ``planted`` must give exactly one R201 finding.  Only
 ``Sampler.batch_draw`` is a registered entry point, so the draw in
@@ -8,9 +9,13 @@ site.  The seeded draws are the sanctioned seam and stay silent.
 """
 
 import os
+import os.path  # binds os, which stays the os module below
 import random
+import random as rnd
 import secrets
+import secrets as sec
 import uuid
+import uuid as uu
 from os import urandom
 from random import Random, shuffle
 
@@ -45,4 +50,10 @@ def entropy(items, salt=random.getrandbits(8)):  # planted: default value
     out.append(urandom(8))  # planted: from os import urandom
     out.append(Random())  # planted: from random import Random, unseeded
     out.append(Random(7).random())
+    out.append(rnd.random())  # planted: import random as rnd
+    rnd.shuffle(items)  # planted: through the alias
+    out.append(rnd.Random())  # planted: through the alias, unseeded
+    out.append(sec.token_hex(8))  # planted: import secrets as sec
+    out.append(uu.uuid4())  # planted: import uuid as uu
+    out.append(rnd.Random(7).random())
     return out

@@ -97,9 +97,10 @@ def _planted_lines(name):
 
 
 def test_r201_one_finding_per_randomness_form():
-    """Every module-level randomness form (library calls, from-imported
-    bare names, import-time draws) gives exactly one finding,
-    on or off an entry closure; seeded draws give none."""
+    """Every module-level randomness form (library calls, calls through
+    a module alias, from-imported bare names, import-time draws) gives
+    exactly one finding, on or off an entry closure; seeded draws give
+    none."""
     report = _run_fixtures()
     hits = [
         f for f in _by_rule(report, "R201")
@@ -112,6 +113,24 @@ def test_r201_one_finding_per_randomness_form():
     on_path = [f for f in hits if "reachable from" in f.message]
     assert len(on_path) == 1
     assert "Sampler.batch_draw -> _jitter" in on_path[0].message
+
+
+def test_r201_sees_defs_under_module_level_compound_statements():
+    """A ``def`` in an ``except``/``else``/``finally``/``if``/``with``
+    body at module or class level is summarised and its draw reported."""
+    report = _run_fixtures()
+    hits = [
+        f for f in _by_rule(report, "R201")
+        if f.path == "r201_guarded_defs.py"
+    ]
+    assert sorted(f.line for f in hits) == _planted_lines(
+        "r201_guarded_defs.py"
+    )
+    for qualname in (
+        "fallback", "preferred", "cleanup", "chosen", "other", "reader",
+        "Holder.method",
+    ):
+        assert f"r201_guarded_defs.py::{qualname}" in report.functions
 
 
 def test_r201_allowlist_exempts_a_randomness_owner():

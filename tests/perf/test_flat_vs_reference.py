@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.monoid import sum_monoid
-from repro.algebra.rings import INTEGER
+from repro.algebra.rings import FLOAT, INTEGER, modular_ring
 from repro.errors import UnknownNodeError
 from repro.listprefix.structure import IncrementalListPrefix
 from repro.perf.flat_rbsts import FlatLeaf, FlatRBSTS
@@ -445,3 +445,35 @@ def test_listprefix_differential(seed):
     assert flat.batch_prefix(flat.handles()) == list(
         itertools.accumulate(flat.values())
     )
+
+
+@pytest.mark.parametrize(
+    "ring", [INTEGER, modular_ring(97), FLOAT], ids=lambda r: r.name
+)
+def test_batch_prefix_large_batch_matches_running_fold(ring):
+    """A batch large enough that P̂T(U) has hundreds of summaries
+    (n = 2**13, |U| = 64): both backends give the same answers, and on
+    the exact rings they are the running sum itself."""
+    n, u = 1 << 13, 64
+    rnd = random.Random(2024)
+    if ring is INTEGER:
+        vals = [rnd.randint(-10**6, 10**6) for _ in range(n)]
+    elif ring is FLOAT:
+        vals = [rnd.uniform(-1.0, 1.0) for _ in range(n)]
+    else:
+        vals = [rnd.randrange(97) for _ in range(n)]
+    m = sum_monoid(ring)
+    ref = IncrementalListPrefix(m, vals, seed=5)
+    flat = IncrementalListPrefix(m, vals, seed=5, backend="flat")
+    idxs = sorted(rnd.sample(range(n), u))
+    fh = [flat.handle_at(i) for i in idxs]
+    result = activate(flat.tree, fh, SpanTracker())
+    try:
+        assert len(flat._parse_tree(result, fh).entries) >= 192
+    finally:
+        deactivate(result)
+    got = flat.batch_prefix(fh)
+    assert got == ref.batch_prefix([ref.handle_at(i) for i in idxs])
+    if ring is not FLOAT:
+        running = list(itertools.accumulate(vals, ring.add))
+        assert got == [running[i] for i in idxs]

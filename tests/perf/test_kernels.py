@@ -1,67 +1,15 @@
-"""Kernel parity: the NumPy per-level kernels pinned bit-for-bit
-against the scalar ground truth (``PythonKernels``).
+"""The column label kernels mirror the §4.2 label rules of
+:mod:`~repro.contraction.labels` exactly.
 
-The flat contraction backend's drop-in contract requires that the
-answer never depends on which kernel set is selected — so every test
-here compares the two paths with plain ``==`` (no tolerances), across
-the registered numeric rings, the exactness guards, and the
-environment-variable dispatch.
+No library code calls them; the repository benchmark's tracer wraps
+the class :func:`~repro.perf.kernels.select_kernels` returns, so these
+tests pin both the arithmetic and that lookup.
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
-
-from repro.algebra.rings import (
-    BOOLEAN,
-    FLOAT,
-    INTEGER,
-    Ring,
-    modular_ring,
-    tropical_semiring,
-)
-from repro.contraction.labels import compress_label
-from repro.errors import InvalidParameterError
-from repro.perf.kernels import (
-    INT64_SAFE_MAGNITUDE,
-    KERNEL_ENV,
-    MAX_VECTOR_MODULUS,
-    SCALAR_CUTOFF,
-    NumpyKernels,
-    PythonKernels,
-    kernel_mode,
-    prefix_compose,
-    select_kernels,
-    vector_ring_for,
-)
-
-MOD97 = modular_ring(97)
-
-
-def columns(ring, n, seed):
-    """Random operand columns drawn from the ring's natural domain."""
-    rnd = random.Random(seed)
-    if ring.name == "Z":
-        draw = lambda: rnd.randint(-50, 50)  # noqa: E731
-    elif ring.name == "R":
-        draw = lambda: round(rnd.uniform(-4.0, 4.0), 3)  # noqa: E731
-    else:  # Z/p
-        p = int(ring.name[2:])
-        draw = lambda: rnd.randrange(p)  # noqa: E731
-    return [[draw() for _ in range(n)] for _ in range(4)]
-
-
-def numpy_kernels(ring):
-    vec = vector_ring_for(ring)
-    assert vec is not None
-    return NumpyKernels(ring, vec)
-
-
-# ---------------------------------------------------------------------------
-# the scalar path mirrors labels.py exactly
-# ---------------------------------------------------------------------------
+from repro.algebra.rings import BOOLEAN, INTEGER
+from repro.perf.kernels import PythonKernels, select_kernels
 
 
 def test_python_kernels_match_label_rules():
@@ -70,164 +18,4 @@ def test_python_kernels_match_label_rules():
     assert k.rake_add([2], [3], [4], [5]) == ([3], [3 * (2 + 5) + 4])
     assert k.rake_mul([2], [3], [4]) == ([3 * 2], [4])
     assert k.compress([2], [3], [5], [7]) == ([2 * 5], [2 * 7 + 3])
-    assert not k.vectorized
-
-
-# ---------------------------------------------------------------------------
-# vector path == scalar path, elementwise, on every registered ring
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("ring", [INTEGER, FLOAT, MOD97], ids=lambda r: r.name)
-@pytest.mark.parametrize("seed", range(5))
-def test_numpy_matches_python_on_large_levels(ring, seed):
-    n = SCALAR_CUTOFF + 16  # comfortably past the tiny-level cutoff
-    a, b, c, d = columns(ring, n, seed)
-    py, np_ = PythonKernels(ring), numpy_kernels(ring)
-    assert np_.vectorized
-    assert np_.rake_add(b, c, d) == py.rake_add(b, c, d)
-    assert np_.rake_add(b, c, d, a) == py.rake_add(b, c, d, a)
-    assert np_.rake_mul(b, c, d) == py.rake_mul(b, c, d)
-    assert np_.compress(a, b, c, d) == py.compress(a, b, c, d)
-
-
-def test_small_levels_take_the_scalar_path():
-    np_ = numpy_kernels(INTEGER)
-    cols = columns(INTEGER, SCALAR_CUTOFF - 1, 3)
-    assert np_._arrays(*cols) is None  # tiny level: setup > loop
-    assert np_._arrays(*columns(INTEGER, SCALAR_CUTOFF, 3)) is not None
-    a, b, c, d = cols
-    assert np_.compress(a, b, c, d) == PythonKernels(INTEGER).compress(
-        a, b, c, d
-    )
-
-
-@pytest.mark.parametrize(
-    "spike",
-    [INT64_SAFE_MAGNITUDE + 1, -(INT64_SAFE_MAGNITUDE + 1), 10**30, 2**70],
-)
-def test_integer_guard_falls_back_exactly(spike):
-    """Any operand beyond the int64-safety bound (or unrepresentable in
-    int64 at all) sends that level to the exact big-int path."""
-    n = SCALAR_CUTOFF + 8
-    a, b, c, d = columns(INTEGER, n, 11)
-    b[n // 2] = spike
-    py, np_ = PythonKernels(INTEGER), numpy_kernels(INTEGER)
-    assert np_._arrays(a, b, c, d) is None
-    assert np_.compress(a, b, c, d) == py.compress(a, b, c, d)
-    assert np_.rake_add(b, c, d) == py.rake_add(b, c, d)
-
-
-def test_guarded_level_vectorizes_at_the_boundary():
-    n = SCALAR_CUTOFF + 8
-    a, b, c, d = columns(INTEGER, n, 12)
-    b[0] = INT64_SAFE_MAGNITUDE
-    b[1] = -INT64_SAFE_MAGNITUDE
-    np_ = numpy_kernels(INTEGER)
-    assert np_._arrays(a, b, c, d) is not None
-    assert np_.compress(a, b, c, d) == PythonKernels(INTEGER).compress(
-        a, b, c, d
-    )
-
-
-def test_modular_outputs_are_python_ints():
-    n = SCALAR_CUTOFF + 8
-    a, b, c, d = columns(MOD97, n, 13)
-    na, nb = numpy_kernels(MOD97).compress(a, b, c, d)
-    assert all(type(x) is int for x in na + nb)
-    assert (na, nb) == PythonKernels(MOD97).compress(a, b, c, d)
-
-
-# ---------------------------------------------------------------------------
-# the vector-ring registry
-# ---------------------------------------------------------------------------
-
-
-def test_vector_ring_registry():
-    vz = vector_ring_for(INTEGER)
-    assert vz is not None and vz.guard == INT64_SAFE_MAGNITUDE
-    vr = vector_ring_for(FLOAT)
-    assert vr is not None and vr.modulus is None and vr.guard is None
-    vp = vector_ring_for(MOD97)
-    assert vp is not None and vp.modulus == 97
-    # Non-numeric / inexact rings must stay scalar.
-    assert vector_ring_for(BOOLEAN) is None
-    assert vector_ring_for(tropical_semiring()) is None
-    assert vector_ring_for(modular_ring(MAX_VECTOR_MODULUS)) is None
-    weird = Ring("Z/notanumber", 0, 1, lambda a, b: a, lambda a, b: b)
-    assert vector_ring_for(weird) is None
-
-
-# ---------------------------------------------------------------------------
-# REPRO_KERNELS dispatch
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_mode_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert kernel_mode() == "auto"
-    monkeypatch.setenv(KERNEL_ENV, "")
-    assert kernel_mode() == "auto"
-    monkeypatch.setenv(KERNEL_ENV, "  NumPy ")
-    assert kernel_mode() == "numpy"
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert kernel_mode() == "python"
-    monkeypatch.setenv(KERNEL_ENV, "fortran")
-    with pytest.raises(InvalidParameterError):
-        kernel_mode()
-
-
-def test_select_kernels_dispatch(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert select_kernels(INTEGER).vectorized  # numpy is baked in
-    assert not select_kernels(BOOLEAN).vectorized  # no vector mapping
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert not select_kernels(INTEGER).vectorized
-    monkeypatch.setenv(KERNEL_ENV, "numpy")
-    assert select_kernels(FLOAT).vectorized
-    # Forcing numpy on a non-numeric ring is a fallback, not an error.
-    assert not select_kernels(tropical_semiring()).vectorized
-
-
-# ---------------------------------------------------------------------------
-# the prefix phase
-# ---------------------------------------------------------------------------
-
-
-def fold_oracle(ring, labels):
-    out, acc = [], None
-    for lab in labels:
-        acc = lab if acc is None else compress_label(ring, lab, acc)
-        out.append(acc)
-    return out
-
-
-@pytest.mark.parametrize("ring", [INTEGER, MOD97, BOOLEAN], ids=lambda r: r.name)
-@pytest.mark.parametrize("mode", ["python", "numpy"])
-@pytest.mark.parametrize("n", [0, 1, 2, 5, SCALAR_CUTOFF + 17])
-def test_prefix_compose_matches_sequential_fold(ring, mode, n, monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, mode)
-    rnd = random.Random(101 * n + len(ring.name))
-    if ring is BOOLEAN:
-        labels = [
-            (rnd.random() < 0.5, rnd.random() < 0.5) for _ in range(n)
-        ]
-    else:
-        labels = [(rnd.randint(-3, 3), rnd.randint(-3, 3)) for _ in range(n)]
-    assert prefix_compose(ring, labels) == fold_oracle(ring, labels)
-
-
-@pytest.mark.parametrize("n", [1, 7, SCALAR_CUTOFF + 5, 200])
-def test_prefix_compose_modes_identical_on_floats(n, monkeypatch):
-    """Floats are inexact, so the fold oracle does not apply — but the
-    two kernel sets evaluate the identical doubling bracketing, so they
-    must agree bit-for-bit with each other."""
-    rnd = random.Random(n)
-    labels = [
-        (rnd.uniform(-1.5, 1.5), rnd.uniform(-1.5, 1.5)) for _ in range(n)
-    ]
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    py = prefix_compose(FLOAT, labels)
-    monkeypatch.setenv(KERNEL_ENV, "numpy")
-    np_ = prefix_compose(FLOAT, labels)
-    assert py == np_  # exact: identical IEEE expression per element
+    assert type(select_kernels(BOOLEAN)) is PythonKernels
