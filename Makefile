@@ -33,9 +33,12 @@ bench-smoke:
 
 ## Speedup-gate subset: re-run only the gated E4/E5/E6 full-size
 ## cells and fail if any gated flat-over-reference ratio drops below its
-## regress.MIN_SPEEDUPS floor.  Each ratio is two same-machine timings,
-## so it needs no baseline normalisation; the wall-clock threshold is
-## loosened accordingly (CI machines vary, ratios don't).
+## regress.MIN_SPEEDUPS floor.  Each cell runs perf_harness.GATE_REPEATS
+## repeats with reference and flat alternating; the floor judges the
+## median of the per-repeat ratios, and every repeat's ratio is
+## printed.  Ratios of same-machine timings need no baseline
+## normalisation; the wall-clock threshold is loosened accordingly (CI
+## machines vary, ratios don't).
 bench-regress:
 	$(PYTHON) benchmarks/regress.py --cells gate --threshold 10.0
 

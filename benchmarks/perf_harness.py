@@ -5,7 +5,11 @@ E5 / E6 and records, per cell and per backend:
 
 * ``wall_clock_s`` — best-of-``REPEATS`` wall-clock for the whole cell
   (structure construction + the measured batch, matching the protocol
-  of the corresponding ``bench_eN_*.py`` experiment);
+  of the corresponding ``bench_eN_*.py`` experiment), and
+  ``repeat_wall_clock_s``, every repeat's time.  A cell's
+  flat-over-reference speedup is the median of the per-repeat ratios
+  (:func:`speedup_ratios`); the gate cells run ``GATE_REPEATS``
+  repeats with the backends alternating;
 * ``simulated`` — the machine-independent costs (PRAM work / span,
   activation rounds, rebuild mass, wound sizes).  These are exact
   deterministic functions of the seeds, so they must be *identical*
@@ -54,6 +58,11 @@ REPEATS = 3
 SEEDS = (0, 1, 2)
 #: R1 repeats: its gated ratio is the median over these.
 R1_REPEATS = 9
+#: Gate-cell repeats: each times one reference and one flat sweep back
+#: to back, and the gated speedup is the median of their ratios.  One
+#: best-of-3 per backend divides timings taken seconds apart, and on a
+#: shared host that quotient fell under the E5 floor on unchanged code.
+GATE_REPEATS = 9
 
 # The acceptance-gate cells: flat-over-reference speedup floors live in
 # ``regress.MIN_SPEEDUPS`` keyed by the same experiment names.
@@ -255,36 +264,77 @@ def grid(quick: bool) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
+def _sweep(spec: Dict[str, Any], backend: str) -> Tuple[float, Dict[str, Any]]:
+    """One repeat of a cell: its kernel over every seed, timings and
+    simulated costs summed."""
+    kernel = KERNELS[spec["experiment"]]
+    total = 0.0
+    sim_acc: Dict[str, Any] = {}
+    for seed in SEEDS:
+        dt, sim = kernel(backend, seed, spec["n"], spec["u"])
+        total += dt
+        for k, v in sim.items():
+            sim_acc[k] = sim_acc.get(k, 0) + v
+    return total, sim_acc
+
+
+def _entry(
+    spec: Dict[str, Any], backend: str, totals: List[float], simulated: Dict
+) -> Dict[str, Any]:
+    return {
+        "experiment": spec["experiment"],
+        "cell": {"n": spec["n"], "u": spec["u"], "seeds": list(SEEDS)},
+        "backend": backend,
+        "wall_clock_s": round(min(totals), 6),
+        "repeat_wall_clock_s": [round(t, 6) for t in totals],
+        "simulated": simulated,
+    }
+
+
+def _check_repeat(
+    spec: Dict[str, Any], backend: str, simulated: Dict, sim_acc: Dict
+) -> None:
+    if simulated and simulated != sim_acc:
+        raise RuntimeError(
+            f"non-deterministic simulated costs in {spec} ({backend}): "
+            f"{simulated} != {sim_acc}"
+        )
+
+
 def run_cell(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
     if spec["experiment"] == "R1":
         return _run_cell_r1(spec, backend)
-    kernel = KERNELS[spec["experiment"]]
-    n, u = spec["n"], spec["u"]
-    best = float("inf")
+    totals: List[float] = []
     simulated: Dict[str, Any] = {}
     for _ in range(REPEATS):
-        total = 0.0
-        sim_acc: Dict[str, Any] = {}
-        for seed in SEEDS:
-            dt, sim = kernel(backend, seed, n, u)
-            total += dt
-            for k, v in sim.items():
-                sim_acc[k] = sim_acc.get(k, 0) + v
-        if total < best:
-            best = total
-        if simulated and simulated != sim_acc:
-            raise RuntimeError(
-                f"non-deterministic simulated costs in {spec} ({backend}): "
-                f"{simulated} != {sim_acc}"
-            )
+        total, sim_acc = _sweep(spec, backend)
+        _check_repeat(spec, backend, simulated, sim_acc)
+        totals.append(total)
         simulated = sim_acc
-    return {
-        "experiment": spec["experiment"],
-        "cell": {"n": n, "u": u, "seeds": list(SEEDS)},
-        "backend": backend,
-        "wall_clock_s": round(best, 6),
-        "simulated": simulated,
-    }
+    return _entry(spec, backend, totals, simulated)
+
+
+def run_gate_cell(spec: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """A gate cell on both backends: ``GATE_REPEATS`` repeats, each one
+    sweep per backend back to back, so every repeat's ratio divides
+    timings taken under the same host conditions."""
+    totals: Dict[str, List[float]] = {b: [] for b in BACKENDS}
+    simulated: Dict[str, Dict[str, Any]] = {b: {} for b in BACKENDS}
+    for _ in range(GATE_REPEATS):
+        for backend in BACKENDS:
+            total, sim_acc = _sweep(spec, backend)
+            _check_repeat(spec, backend, simulated[backend], sim_acc)
+            totals[backend].append(total)
+            simulated[backend] = sim_acc
+    return {b: _entry(spec, b, totals[b], simulated[b]) for b in BACKENDS}
+
+
+def speedup_ratios(ref: Dict[str, Any], flat: Dict[str, Any]) -> List[float]:
+    """Per-repeat reference / flat wall-clock ratios of one cell."""
+    return [
+        r / f
+        for r, f in zip(ref["repeat_wall_clock_s"], flat["repeat_wall_clock_s"])
+    ]
 
 
 def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
@@ -297,7 +347,8 @@ def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
     timings taken seconds apart, and on a host whose speed drifts that
     quotient tripped the ceiling on noise alone."""
     n, u = spec["n"], spec["u"]
-    best_on = best_off = float("inf")
+    totals_on: List[float] = []
+    best_off = float("inf")
     ratios: List[float] = []
     simulated: Dict[str, Any] = {}
     for _ in range(R1_REPEATS):
@@ -309,24 +360,20 @@ def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
             total_off += dt_off
             for k, v in sim.items():
                 sim_acc[k] = sim_acc.get(k, 0) + v
-        best_on = min(best_on, total_on)
+        totals_on.append(total_on)
         best_off = min(best_off, total_off)
         ratios.append(total_on / total_off)
-        if simulated and simulated != sim_acc:
-            raise RuntimeError(
-                f"non-deterministic simulated costs in {spec} ({backend}): "
-                f"{simulated} != {sim_acc}"
-            )
+        _check_repeat(spec, backend, simulated, sim_acc)
         simulated = sim_acc
-    return {
-        "experiment": "R1",
-        "cell": {"n": n, "u": u, "seeds": list(SEEDS)},
-        "backend": backend,
-        "wall_clock_s": round(best_on, 6),
-        "bare_wall_clock_s": round(best_off, 6),
-        "overhead_ratio": round(statistics.median(ratios), 3),
-        "simulated": simulated,
-    }
+    return dict(
+        _entry(spec, backend, totals_on, simulated),
+        bare_wall_clock_s=round(best_off, 6),
+        overhead_ratio=round(statistics.median(ratios), 3),
+    )
+
+
+def _is_gate(spec: Dict[str, Any]) -> bool:
+    return GATE_CELLS.get(spec["experiment"]) == {"n": spec["n"], "u": spec["u"]}
 
 
 def run(quick: bool = False, cells: str = "all") -> Dict[str, Any]:
@@ -336,16 +383,17 @@ def run(quick: bool = False, cells: str = "all") -> Dict[str, Any]:
         specs = [
             s
             for s in specs
-            if GATE_CELLS.get(s["experiment"]) == {"n": s["n"], "u": s["u"]}
+            if _is_gate(s)
         ]
     elif cells != "all":
         raise ValueError(f"unknown cells mode {cells!r}")
     entries: List[Dict[str, Any]] = []
     for spec in specs:
-        per_backend: Dict[str, Dict[str, Any]] = {}
-        for backend in BACKENDS:
-            entry = run_cell(spec, backend)
-            per_backend[backend] = entry
+        if _is_gate(spec):
+            per_backend = run_gate_cell(spec)
+        else:
+            per_backend = {b: run_cell(spec, b) for b in BACKENDS}
+        for backend, entry in per_backend.items():
             entries.append(entry)
             print(
                 f"{spec['experiment']:>3} n={spec['n']:<6} u={spec['u']:<3} "
@@ -362,13 +410,14 @@ def run(quick: bool = False, cells: str = "all") -> Dict[str, Any]:
 
     def speedup(exp: str, n: int, u: int) -> float | None:
         pick = {
-            e["backend"]: e["wall_clock_s"]
+            e["backend"]: e
             for e in entries
             if e["experiment"] == exp and e["cell"]["n"] == n and e["cell"]["u"] == u
         }
         if "reference" not in pick or "flat" not in pick:
             return None  # cell absent from this run's subset
-        return round(pick["reference"] / pick["flat"], 3)
+        ratios = speedup_ratios(pick["reference"], pick["flat"])
+        return round(statistics.median(ratios), 3)
 
     summary = {
         "gate_cells": GATE_CELLS,

@@ -12,7 +12,9 @@ seeded cell grid, and fails when:
   any drift means the algorithm changed, not the machine; or
 * a gate cell's flat-over-reference speedup (computed on the *current*
   run, so it is machine-independent) falls below its
-  ``MIN_SPEEDUPS`` floor.
+  ``MIN_SPEEDUPS`` floor.  The speedup judged is the median over the
+  cell's ``perf_harness.GATE_REPEATS`` alternating reference/flat
+  repeats, each repeat's ratio printed.
 
 ``--cells gate`` re-runs only the speedup-gated cells (E4/E5/E6 full
 sizes) — the quick CI mode behind ``make bench-regress``.  The
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 from typing import Any, Dict, List
 
@@ -96,7 +99,8 @@ def validate_cells(baseline: Dict[str, Any]) -> List[str]:
 
 
 def gate_failures(current: Dict[str, Any]) -> List[str]:
-    """Speedup-floor checks on the current run's gate cells."""
+    """Speedup-floor checks on the current run's gate cells, each judged
+    on the median of its per-repeat reference/flat ratios."""
     failures: List[str] = []
     by_key = {key_of(e): e for e in current["cells"]}
     for exp, cell in sorted(perf_harness.GATE_CELLS.items()):
@@ -105,18 +109,20 @@ def gate_failures(current: Dict[str, Any]) -> List[str]:
         for backend in ("reference", "flat"):
             entry = by_key.get(f"{exp}:n={cell['n']}:u={cell['u']}:{backend}")
             if entry is not None:
-                pick[backend] = entry["wall_clock_s"]
+                pick[backend] = entry
         if len(pick) < 2:
             continue  # gate cell not in this run's subset
-        ratio = pick["reference"] / pick["flat"]
+        ratios = perf_harness.speedup_ratios(pick["reference"], pick["flat"])
+        ratio = statistics.median(ratios)
         status = "OK" if ratio >= floor else "REGRESSION"
         print(
             f"{status:>10}  {exp} gate speedup (flat over reference) "
-            f"{ratio:.3f}x (floor {floor}x)"
+            f"median {ratio:.3f}x (floor {floor}x) over repeats "
+            + " ".join(f"{r:.3f}" for r in ratios)
         )
         if ratio < floor:
             failures.append(
-                f"{exp} gate cell n={cell['n']} u={cell['u']}: speedup "
+                f"{exp} gate cell n={cell['n']} u={cell['u']}: median speedup "
                 f"{ratio:.3f}x below floor {floor}x"
             )
     return failures

@@ -28,17 +28,15 @@ and heal ``RT(W)`` incrementally — the pure Theorem 4.2 path.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
-    InvalidParameterError,
     RequestRejection,
     TreeStructureError,
     UnknownNodeError,
     batch_validation_error,
 )
 from ..pram.frames import SpanTracker
-from ..transactions import POLICIES, BatchReport, RequestOutcome
 from ..splitting.node import BSTNode
 from ..splitting.rbsts import RBSTS
 from ..trees.expr import ExprTree
@@ -139,9 +137,7 @@ class DynamicTreeContraction:
         self,
         node_ids: Sequence[int],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> List[Any]:
         """Recompute subtree values at specified nodes (§4.1 request 4).
 
         Each value is assembled by composing the affine labels along the
@@ -150,17 +146,13 @@ class DynamicTreeContraction:
         composition per Theorem 4.2).
 
         The whole batch is admitted up front: unknown node ids reject it
-        atomically under ``policy="strict"`` (a
-        :class:`~repro.errors.BatchHandleError`, catchable as
-        ``UnknownNodeError``); ``policy="partial"`` answers the valid
-        subset and returns a :class:`~repro.transactions.BatchReport`.
+        atomically (a :class:`~repro.errors.BatchHandleError`, catchable
+        as ``UnknownNodeError``).
         """
         tracker = tracker if tracker is not None else SpanTracker()
-        node_ids = list(node_ids)
-        admitted, rej = self._admit(
-            node_ids, self._validate_query(node_ids), policy, "query_values"
+        node_ids = self._admit(
+            list(node_ids), self._validate_query, "query_values"
         )
-        node_ids = admitted
         cache: Dict[int, Any] = {}
         ring = self.tree.ring
         max_chain = 0
@@ -224,9 +216,7 @@ class DynamicTreeContraction:
             out.append(value_of(nid))
             max_chain = max(max_chain, len(cache) - before)
         self._charge_wound(tracker, len(node_ids), extra=max_chain)
-        if rej is None:
-            return out
-        return self._report(rej, len(rej) + len(node_ids), out)
+        return out
 
     # ------------------------------------------------------------------
     # label-only updates (pure Theorem 4.2 healing)
@@ -235,43 +225,30 @@ class DynamicTreeContraction:
         self,
         updates: Sequence[Tuple[int, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Concurrently modify leaf labels (§4.1 request 3).
 
         Whole-batch admission: unknown nodes / non-leaf targets reject
-        the batch atomically before any label is touched
-        (``policy="strict"``); ``policy="partial"`` applies the valid
-        subset and returns a :class:`~repro.transactions.BatchReport`.
+        the batch atomically before any label is touched.
         """
         tracker = tracker if tracker is not None else SpanTracker()
-        updates = list(updates)
-        admitted, rej = self._admit(
-            updates,
-            self._validate_set_values(updates),
-            policy,
-            "batch_set_leaf_values",
+        updates = self._admit(
+            list(updates), self._validate_set_values, "batch_set_leaf_values"
         )
-        if admitted:
+        if updates:
             tokens = []
-            for nid, value in admitted:
+            for nid, value in updates:
                 self.tree.set_leaf_value(nid, value)
                 tokens.append(self.trace.set_leaf_label(nid, value))
             wound = self.trace.heal(tokens, tracker)
-            self._charge_wound(tracker, len(admitted))
+            self._charge_wound(tracker, len(updates))
             self.last_stats = {"wound": wound, "fresh_rt_nodes": 0}
-        if rej is None:
-            return None
-        return self._report(rej, len(updates), [None] * len(admitted))
 
     def batch_set_ops(
         self,
         updates: Sequence[Tuple[int, Op]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Concurrently modify internal-node operations (§4.1 request 3).
 
         The op of node ``p`` is baked into the single rake event that
@@ -282,21 +259,17 @@ class DynamicTreeContraction:
         mid-loop before discovering a bad target — a torn state).
         """
         tracker = tracker if tracker is not None else SpanTracker()
-        updates = list(updates)
-        admitted, rej = self._admit(
-            updates, self._validate_set_ops(updates), policy, "batch_set_ops"
+        updates = self._admit(
+            list(updates), self._validate_set_ops, "batch_set_ops"
         )
-        if admitted:
+        if updates:
             tokens = []
-            for nid, op in admitted:
+            for nid, op in updates:
                 self.tree.set_op(nid, op)
                 tokens.append(self.trace.set_rake_op(nid, op))
             wound = self.trace.heal(tokens, tracker)
-            self._charge_wound(tracker, len(admitted))
+            self._charge_wound(tracker, len(updates))
             self.last_stats = {"wound": wound, "fresh_rt_nodes": 0}
-        if rej is None:
-            return None
-        return self._report(rej, len(updates), [None] * len(admitted))
 
     # ------------------------------------------------------------------
     # structural updates (Theorem 4.1 healing)
@@ -305,35 +278,29 @@ class DynamicTreeContraction:
         self,
         requests: Sequence[Tuple[int, Op, Any, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> List[Tuple[int, int]]:
         """Concurrently add two children below current leaves
         (§4.1 request 1).  ``requests`` entries are
         ``(leaf_id, op, left_value, right_value)``; returns the new
         ``(left_id, right_id)`` pairs in request order.
 
         Whole-batch admission: duplicate or unknown leaf targets reject
-        the batch atomically (``policy="strict"``) before the tree, the
-        handle map, or the RBSTS is touched; ``policy="partial"`` grows
-        the valid subset and returns a
-        :class:`~repro.transactions.BatchReport` whose accepted outcomes
-        carry the ``(left_id, right_id)`` pairs.
+        the batch atomically before the tree, the handle map, or the
+        RBSTS is touched.
         """
         tracker = tracker if tracker is not None else SpanTracker()
-        requests = list(requests)
-        admitted, rej = self._admit(
-            requests, self._validate_grow(requests), policy, "batch_grow"
+        requests = self._admit(
+            list(requests), self._validate_grow, "batch_grow"
         )
         created: List[Tuple[int, int]] = []
-        if admitted:
+        if requests:
             # Pre-batch positions for the RBSTS inserts.
             positions = {
                 leaf_id: self.pt.index_of(self._handle(leaf_id))
-                for leaf_id, _, _, _ in admitted
+                for leaf_id, _, _, _ in requests
             }
             inserts: List[Tuple[int, Any]] = []
-            for leaf_id, op, lv, rv in admitted:
+            for leaf_id, op, lv, rv in requests:
                 lid, rid = self.tree.grow_leaf(leaf_id, op, lv, rv)
                 created.append((lid, rid))
                 # The grown leaf's RBSTS handle becomes the new left
@@ -349,20 +316,16 @@ class DynamicTreeContraction:
                 self.handle[rid] = h
             changed = [
                 (leaf_id, lid, rid)
-                for (leaf_id, _, _, _), (lid, rid) in zip(admitted, created)
+                for (leaf_id, _, _, _), (lid, rid) in zip(requests, created)
             ]
-            self._recontract(tracker, len(admitted), changed, written)
-        if rej is None:
-            return created
-        return self._report(rej, len(requests), created)
+            self._recontract(tracker, len(requests), changed, written)
+        return created
 
     def batch_prune(
         self,
         requests: Sequence[Tuple[int, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Concurrently delete two leaf children of nodes
         (§4.1 request 2).  ``requests`` entries are
         ``(node_id, new_leaf_value)`` — the node becomes a leaf.
@@ -370,20 +333,17 @@ class DynamicTreeContraction:
         Whole-batch admission runs *before* any mutation: duplicate
         targets, unknown nodes, nodes that are already leaves, and nodes
         whose children are not both leaves reject the batch atomically
-        under ``policy="strict"`` (the pre-admission code discovered bad
-        targets mid-loop, after earlier requests had already mutated the
-        tree — a torn state).  ``policy="partial"`` prunes the valid
-        subset and returns a :class:`~repro.transactions.BatchReport`.
+        (the pre-admission code discovered bad targets mid-loop, after
+        earlier requests had already mutated the tree — a torn state).
         """
         tracker = tracker if tracker is not None else SpanTracker()
-        requests = list(requests)
-        admitted, rej = self._admit(
-            requests, self._validate_prune(requests), policy, "batch_prune"
+        requests = self._admit(
+            list(requests), self._validate_prune, "batch_prune"
         )
-        if admitted:
+        if requests:
             doomed_handles: List[BSTNode] = []
             changed: List[Tuple[int, int, int]] = []
-            for node_id, new_value in admitted:
+            for node_id, new_value in requests:
                 node = self.tree.node(node_id)
                 left, right = node.left, node.right
                 assert left is not None and right is not None
@@ -399,10 +359,7 @@ class DynamicTreeContraction:
             _, written = self._pt_batch(
                 self.pt.batch_delete, doomed_handles, tracker
             )
-            self._recontract(tracker, len(admitted), changed, written)
-        if rej is None:
-            return None
-        return self._report(rej, len(requests), [None] * len(admitted))
+            self._recontract(tracker, len(requests), changed, written)
 
     # ------------------------------------------------------------------
     # mixed batches (§1.3: "various parallel modification requests and
@@ -412,9 +369,7 @@ class DynamicTreeContraction:
         self,
         requests: Sequence[Tuple],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> List[Any]:
         """Process one heterogeneous concurrent batch.
 
         Request tuples (all node references are to the *pre-batch*
@@ -435,23 +390,19 @@ class DynamicTreeContraction:
         The *whole* heterogeneous batch is admitted up front, including
         cross-request conflicts that are only visible at the batch
         level: a prune whose child is grown by the same batch (both
-        sides rejected ``conflicting-requests``), label updates or
-        queries targeting nodes a prune removes
+        sides rejected ``conflicting-requests``), ``set_value`` or
+        ``query`` on a node a prune removes
         (``target-removed-by-batch``), ``set_value`` on a leaf grown
         internal and ``set_op`` on a node pruned back to a leaf
-        (``conflicting-requests``).  ``policy="strict"`` rejects the
-        batch atomically before any sub-batch runs; ``policy="partial"``
-        drops rejected requests and returns a
-        :class:`~repro.transactions.BatchReport`.
+        (``conflicting-requests``).  Any rejection rejects the batch
+        atomically before any sub-batch runs.
         """
         tracker = tracker if tracker is not None else SpanTracker()
-        requests = list(requests)
-        admitted, rej = self._admit(
-            requests, self._validate_requests(requests), policy, "apply_requests"
+        requests = self._admit(
+            list(requests), self._validate_requests, "apply_requests"
         )
         grows, prunes, values, ops, queries = [], [], [], [], []
-        order: List[int] = []  # admitted order -> position in `admitted`
-        for i, req in enumerate(admitted):
+        for i, req in enumerate(requests):
             kind = req[0]
             if kind == "grow":
                 grows.append((i, req[1:]))
@@ -463,7 +414,7 @@ class DynamicTreeContraction:
                 ops.append((i, req[1:]))
             else:  # "query" (kinds are pre-admitted)
                 queries.append((i, req[1]))
-        out: List[Any] = [None] * len(admitted)
+        out: List[Any] = [None] * len(requests)
         if grows:
             created = self.batch_grow([g for _, g in grows], tracker)
             for (i, _), pair in zip(grows, created):
@@ -478,9 +429,7 @@ class DynamicTreeContraction:
             answers = self.query_values([nid for _, nid in queries], tracker)
             for (i, _), ans in zip(queries, answers):
                 out[i] = ans
-        if rej is None:
-            return out
-        return self._report(rej, len(requests), out)
+        return out
 
     # ------------------------------------------------------------------
     # internals
@@ -496,60 +445,18 @@ class DynamicTreeContraction:
     # -- batch admission (PR 3) ----------------------------------------
     def _admit(
         self,
-        requests: Sequence[Any],
-        rejections: Sequence[RequestRejection],
-        policy: str,
+        requests: List[Any],
+        validate: Callable[[List[Any]], List[RequestRejection]],
         verb: str,
-    ) -> Tuple[List[Any], Optional[Dict[int, RequestRejection]]]:
-        """Admission gate shared by every contraction batch entry point.
-
-        ``strict``: any rejection aborts the whole batch (no tree, RBSTS
-        or RT state has been touched yet — admission is purely
-        read-only).  ``partial``: rejected requests are dropped; the
-        caller builds a :class:`~repro.transactions.BatchReport` from
-        the returned index map via :meth:`_report`.
-        """
-        if policy not in POLICIES:
-            raise InvalidParameterError(
-                f"unknown batch policy {policy!r}; expected one of "
-                f"{sorted(POLICIES)}"
-            )
-        if policy == "strict":
-            if rejections:
-                raise batch_validation_error(
-                    rejections, len(requests), verb=verb
-                )
-            return list(requests), None
-        rej = {r.index: r for r in rejections}
-        admitted = [req for i, req in enumerate(requests) if i not in rej]
-        return admitted, rej
-
-    def _report(
-        self,
-        rej: Dict[int, RequestRejection],
-        total: int,
-        results: Sequence[Any],
-    ) -> BatchReport:
-        """Assemble the ``policy="partial"`` per-request outcome report:
-        accepted requests carry their result in submission order."""
-        outcomes: List[RequestOutcome] = []
-        it = iter(results)
-        for i in range(total):
-            r = rej.get(i)
-            if r is not None:
-                outcomes.append(
-                    RequestOutcome(
-                        index=i,
-                        accepted=False,
-                        reason=r.reason,
-                        detail=r.detail,
-                    )
-                )
-            else:
-                outcomes.append(
-                    RequestOutcome(index=i, accepted=True, result=next(it))
-                )
-        return BatchReport(outcomes=tuple(outcomes))
+    ) -> List[Any]:
+        """Admission gate shared by every contraction batch entry point:
+        any rejection aborts the whole batch (no tree, RBSTS or RT state
+        has been touched yet — admission is purely read-only); otherwise
+        the requests are returned unchanged."""
+        rejections = validate(requests)
+        if rejections:
+            raise batch_validation_error(rejections, len(requests), verb=verb)
+        return requests
 
     def _validate_grow(
         self, requests: Sequence[Tuple[int, Op, Any, Any]]
@@ -778,20 +685,13 @@ class DynamicTreeContraction:
                         f"{grow_targets[nid]}",
                     )
                 )
+        # A node a prune removes is a leaf, which per-kind validation
+        # already rejects for set_op (``no-rake-event``).
         for i, req in by_kind["set_op"]:
             if i in rej:
                 continue
             nid = req[1]
-            if nid in removed:
-                put(
-                    RequestRejection(
-                        i,
-                        "target-removed-by-batch",
-                        f"node {nid} is removed by prune request "
-                        f"{removed[nid]}",
-                    )
-                )
-            elif nid in prune_targets:
+            if nid in prune_targets:
                 put(
                     RequestRejection(
                         i,

@@ -522,8 +522,8 @@ TXN_GUARDS: Dict[str, str] = {
     "src/repro/transactions.py::execute_batch": (
         "every admitted mutation runs via _apply_txn's txn_begin/"
         "rollback/commit bracket; the only direct apply() call is the "
-        "empty-strict-batch path, which is mutation-free by admission "
-        "(nothing was admitted)"
+        "empty-batch path, which is mutation-free (nothing was "
+        "admitted)"
     ),
 }
 

@@ -228,36 +228,29 @@ class IncrementalListPrefix:
         self,
         updates: Sequence[Tuple[BSTNode, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Concurrently replace the values at a set of leaves
         (transactionally — see :meth:`RBSTS.batch_update_items` for the
-        admission/rollback contract and the ``policy`` values)."""
-        return self.tree.batch_update_items(updates, tracker, policy=policy)
+        admission/rollback contract)."""
+        self.tree.batch_update_items(updates, tracker)
 
     def batch_insert(
         self,
         requests: Sequence[Tuple[int, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
     ) -> Any:
         """Concurrently insert ``(index, value)`` pairs (Theorem 2.2);
-        indices refer to the pre-batch sequence.  Transactional:
-        ``policy="strict"`` rejects invalid batches atomically (zero
-        mutation / RNG use), ``policy="partial"`` returns a
-        :class:`~repro.transactions.BatchReport`."""
-        return self.tree.batch_insert(requests, tracker, policy=policy)
+        indices refer to the pre-batch sequence.  Transactional: an
+        invalid batch is rejected atomically (zero mutation / RNG use);
+        returns the new leaf handles in request order."""
+        return self.tree.batch_insert(requests, tracker)
 
     def batch_delete(
         self,
         handles: Sequence[BSTNode],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Concurrently delete a set of leaves (Theorem 2.3);
-        transactional with the same ``policy`` contract as
+        transactional with the same admission contract as
         :meth:`batch_insert`."""
-        return self.tree.batch_delete(handles, tracker, policy=policy)
+        self.tree.batch_delete(handles, tracker)

@@ -892,28 +892,24 @@ class FlatRBSTS:
         self,
         requests: Sequence[Tuple[int, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> List[FlatLeaf]:
         """Concurrent inserts (transactionally); all indices refer to
         the pre-batch sequence, equal indices land in request order.
 
-        Admission control and policies are identical to the reference
-        backend (see :meth:`RBSTS.batch_insert`): ``strict`` rejects
-        atomically with zero mutation and zero RNG consumption,
-        ``partial`` drops rejected requests and returns a
-        :class:`~repro.transactions.BatchReport`; mid-apply exceptions
-        roll the slab back bit-for-bit via the array-epoch journal.
+        Admission control is identical to the reference backend (see
+        :meth:`RBSTS.batch_insert`): an invalid request rejects the
+        batch atomically with zero mutation and zero RNG consumption;
+        mid-apply exceptions roll the slab back bit-for-bit via the
+        array-epoch journal.
         """
         requests = list(requests)
         rejections = validate_batch_insert(self.n_leaves, requests)
 
-        def apply(admitted: Sequence[Tuple[int, Any]]) -> Tuple[Any, List[Any]]:
-            handles = self._batch_insert_core(admitted, tracker)
-            return handles, handles
+        def apply(admitted: Sequence[Tuple[int, Any]]) -> List[FlatLeaf]:
+            return self._batch_insert_core(admitted, tracker)
 
         return execute_batch(
-            self, requests, rejections, apply, policy=policy, verb="batch_insert"
+            self, requests, rejections, apply, verb="batch_insert"
         )
 
     def _batch_insert_core(
@@ -1054,14 +1050,12 @@ class FlatRBSTS:
         self,
         leaves: Sequence[FlatLeaf],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Concurrent deletes (by handle, transactionally).
 
-        Admission control and policies mirror
-        :meth:`RBSTS.batch_delete` exactly — identical accept/reject
-        behaviour and rejection reasons on both backends.
+        Admission control mirrors :meth:`RBSTS.batch_delete` exactly —
+        identical accept/reject behaviour and rejection reasons on both
+        backends.
         """
         leaves = list(leaves)
         rejections = validate_batch_delete(
@@ -1071,13 +1065,11 @@ class FlatRBSTS:
             is_member=self.contains,
         )
 
-        def apply(admitted: Sequence[FlatLeaf]) -> Tuple[Any, List[Any]]:
-            items = [leaf.item for leaf in admitted]
+        def apply(admitted: Sequence[FlatLeaf]) -> None:
             self._batch_delete_core(admitted, tracker)
-            return None, items
 
-        return execute_batch(
-            self, leaves, rejections, apply, policy=policy, verb="batch_delete"
+        execute_batch(
+            self, leaves, rejections, apply, verb="batch_delete"
         )
 
     def _batch_delete_core(
@@ -1225,11 +1217,9 @@ class FlatRBSTS:
         self,
         updates: Sequence[Tuple[FlatLeaf, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Replace several leaves' payloads (transactionally); mirrors
-        :meth:`RBSTS.batch_update_items` admission and policies."""
+        :meth:`RBSTS.batch_update_items` admission."""
         updates = list(updates)
         rejections = validate_batch_update(
             updates,
@@ -1237,12 +1227,11 @@ class FlatRBSTS:
             is_member=self.contains,
         )
 
-        def apply(admitted: Sequence[Tuple[FlatLeaf, Any]]) -> Tuple[Any, List[Any]]:
+        def apply(admitted: Sequence[Tuple[FlatLeaf, Any]]) -> None:
             self._batch_update_core(admitted, tracker)
-            return None, [item for _, item in admitted]
 
-        return execute_batch(
-            self, updates, rejections, apply, policy=policy, verb="batch_update_items"
+        execute_batch(
+            self, updates, rejections, apply, verb="batch_update_items"
         )
 
     def _batch_update_core(

@@ -40,11 +40,17 @@ from .faults import TREE_FAULT_KINDS, FaultPlan, corrupt_journaled_cell
 from .scrub import repair, scrub
 
 __all__ = [
+    "BACKOFF_FACTOR",
     "DegradationEvent",
     "ResiliencePolicy",
     "ResilientExecutor",
     "ResilientListSession",
 ]
+
+#: Growth of the simulated retry backoff: attempt ``k`` adds
+#: ``backoff_base_s * BACKOFF_FACTOR**k``.  Shared with the serve
+#: window's deadline-driven retry budget (``Shard._retry_budget``).
+BACKOFF_FACTOR = 2.0
 
 #: Exception types the supervisor treats as recoverable faults.
 RECOVERABLE = (
@@ -65,15 +71,15 @@ class ResiliencePolicy:
     or the shortcut threshold moved; ``"light"`` skips that audit and
     trusts the caller's verifier and the backends' own checks.
     Backoff is *simulated* (accumulated in stats, never slept) so
-    supervised runs stay deterministic and fast.
+    supervised runs stay deterministic and fast; it grows by
+    :data:`BACKOFF_FACTOR` per attempt.  A structural or corruption
+    failure is always followed by a scrub-and-repair before the retry.
     """
 
     max_retries: int = 2
     ladder: Tuple[str, ...] = ("flat", "reference", "sequential")
     backoff_base_s: float = 0.001
-    backoff_factor: float = 2.0
     detect: str = "deep"  # "deep" | "light"
-    scrub_on_failure: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -194,10 +200,8 @@ class ResilientExecutor:
                     self.stats["rollbacks"] += 1
                 if isinstance(exc, MachineHangError):
                     self.stats["hangs"] += 1
-                if (
-                    policy.scrub_on_failure
-                    and tree is not None
-                    and isinstance(exc, (TreeStructureError, CorruptionDetectedError))
+                if tree is not None and isinstance(
+                    exc, (TreeStructureError, CorruptionDetectedError)
                 ):
                     # The heal's repair transaction nests *inside* the
                     # open checkpoint (snapshot stack) — the checkpoint
@@ -206,7 +210,7 @@ class ResilientExecutor:
                 if attempt < policy.max_retries:
                     self.stats["retries"] += 1
                     self.stats["simulated_backoff_s"] += (
-                        policy.backoff_base_s * policy.backoff_factor**attempt
+                        policy.backoff_base_s * BACKOFF_FACTOR**attempt
                     )
             except BaseException:
                 # Non-recoverable (client errors, injected crashes):

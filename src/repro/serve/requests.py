@@ -134,8 +134,9 @@ class ServePolicy:
     keyed draw on ``(seed, shard, arrival_index)`` — deterministic per
     seed regardless of cross-shard interleaving.  The breaker opens
     after ``breaker_threshold`` *consecutive* failed windows, stays
-    open ``breaker_reset_s`` (doubling per reopen via
-    ``breaker_backoff_factor``), then half-opens for one probe window.
+    open ``breaker_reset_s`` (doubling per reopen, see
+    ``shard.BREAKER_BACKOFF_FACTOR``), then half-opens for one probe
+    window.
     ``resilience`` is the per-shard supervision policy (retry budget +
     degradation ladder); a window's remaining deadline budget caps the
     retries actually granted (see ``Shard.execute_window``).
@@ -147,7 +148,6 @@ class ServePolicy:
     shed_highwater: float = 0.75
     breaker_threshold: int = 3
     breaker_reset_s: float = 0.05
-    breaker_backoff_factor: float = 2.0
     default_deadline_s: Optional[float] = None
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     quarantine_max_probes: int = 64

@@ -47,7 +47,11 @@ from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BatchValidationError, RetryExhaustedError
-from ..resilience.executor import ResiliencePolicy, ResilientListSession
+from ..resilience.executor import (
+    BACKOFF_FACTOR,
+    ResiliencePolicy,
+    ResilientListSession,
+)
 from ..resilience.faults import FaultPlan
 from ..snapshots.reader import PinnedReader
 from ..transactions import (
@@ -58,10 +62,14 @@ from ..transactions import (
 from .quarantine import detonate_values, quarantine_bisect
 from .requests import Request, Response, ServePolicy
 
-__all__ = ["PHASE_ORDER", "Shard"]
+__all__ = ["BREAKER_BACKOFF_FACTOR", "PHASE_ORDER", "Shard"]
 
 #: Canonical write-phase order inside one window.
 PHASE_ORDER = ("set", "delete", "insert")
+
+#: Each reopen of the circuit breaker multiplies its open interval
+#: (``ServePolicy.breaker_reset_s``) by this factor.
+BREAKER_BACKOFF_FACTOR = 2.0
 
 
 class _Pos:
@@ -467,7 +475,7 @@ class Shard:
         allowed = 0
         cumulative = 0.0
         for attempt in range(policy.max_retries):
-            cumulative += policy.backoff_base_s * policy.backoff_factor**attempt
+            cumulative += policy.backoff_base_s * BACKOFF_FACTOR**attempt
             if cumulative <= budget:
                 allowed = attempt + 1
             else:
@@ -548,7 +556,7 @@ class Shard:
         ):
             interval = (
                 policy.breaker_reset_s
-                * policy.breaker_backoff_factor**self.breaker_opened_count
+                * BREAKER_BACKOFF_FACTOR**self.breaker_opened_count
             )
             self.breaker_opened_count += 1
             self.breaker_state = "open"

@@ -422,37 +422,30 @@ class RBSTS:
         self,
         requests: Sequence[Tuple[int, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> List[BSTNode]:
         """Insert a set of leaves concurrently (transactionally).
 
         ``requests`` is a list of ``(index, item)`` pairs; *all indices
         refer to the sequence as it is before the batch*.  Requests with
         equal indices land in request order.
 
-        Admission control validates the whole batch up front: under
-        ``policy="strict"`` (default) any invalid request rejects the
-        batch atomically — no mutation, no RNG consumption,
-        ``last_batch_stats`` reset to ``{}`` — and raises a
-        :class:`~repro.errors.BatchValidationError` subclass carrying
-        per-request rejections.  On success, returns new leaf handles in
-        request order.  Under ``policy="partial"`` the rejected requests
-        are dropped, the remainder applied transactionally, and a
-        :class:`~repro.transactions.BatchReport` returned whose accepted
-        outcomes carry the new handles.  Any exception escaping
-        mid-apply (including injected crash faults) rolls the structure
-        back bit-for-bit to its pre-batch state.
+        Admission control validates the whole batch up front: any
+        invalid request rejects the batch atomically — no mutation, no
+        RNG consumption, ``last_batch_stats`` reset to ``{}`` — and
+        raises a :class:`~repro.errors.BatchValidationError` subclass
+        carrying per-request rejections.  On success, returns new leaf
+        handles in request order.  Any exception escaping mid-apply
+        (including injected crash faults) rolls the structure back
+        bit-for-bit to its pre-batch state.
         """
         requests = list(requests)
         rejections = validate_batch_insert(self.n_leaves, requests)
 
-        def apply(admitted: Sequence[Tuple[int, Any]]) -> Tuple[Any, List[Any]]:
-            handles = self._batch_insert_core(admitted, tracker)
-            return handles, handles
+        def apply(admitted: Sequence[Tuple[int, Any]]) -> List[BSTNode]:
+            return self._batch_insert_core(admitted, tracker)
 
         return execute_batch(
-            self, requests, rejections, apply, policy=policy, verb="batch_insert"
+            self, requests, rejections, apply, verb="batch_insert"
         )
 
     def _batch_insert_core(
@@ -582,21 +575,15 @@ class RBSTS:
         self,
         leaves: Sequence[BSTNode],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Delete a set of leaves concurrently (by handle,
         transactionally).
 
         Admission control validates the whole batch up front (not a
         leaf, unknown handle, duplicate handle, deleting every leaf);
-        under ``policy="strict"`` (default) any invalid request rejects
-        the batch atomically with zero mutation and zero RNG
-        consumption.  ``policy="partial"`` drops the rejected requests,
-        applies the rest transactionally, and returns a
-        :class:`~repro.transactions.BatchReport` whose accepted outcomes
-        carry the deleted items.  Mid-apply exceptions roll back
-        bit-for-bit.
+        any invalid request rejects the batch atomically with zero
+        mutation and zero RNG consumption.  Mid-apply exceptions roll
+        back bit-for-bit.
         """
         leaves = list(leaves)
         rejections = validate_batch_delete(
@@ -606,13 +593,11 @@ class RBSTS:
             is_member=self.contains,
         )
 
-        def apply(admitted: Sequence[BSTNode]) -> Tuple[Any, List[Any]]:
-            items = [leaf.item for leaf in admitted]
+        def apply(admitted: Sequence[BSTNode]) -> None:
             self._batch_delete_core(admitted, tracker)
-            return None, items
 
-        return execute_batch(
-            self, leaves, rejections, apply, policy=policy, verb="batch_delete"
+        execute_batch(
+            self, leaves, rejections, apply, verb="batch_delete"
         )
 
     def _batch_delete_core(
@@ -734,17 +719,13 @@ class RBSTS:
         self,
         updates: Sequence[Tuple[BSTNode, Any]],
         tracker: Optional[SpanTracker] = None,
-        *,
-        policy: str = "strict",
-    ) -> Any:
+    ) -> None:
         """Replace several leaves' payloads (transactionally); summaries
         on the wound ``PT(U)`` are recomputed level-by-level (charged as
         parse-tree contraction per Theorem 3.1).
 
         The whole batch is validated up front (targets must be leaves of
-        *this* structure); ``policy="strict"`` rejects atomically,
-        ``policy="partial"`` applies the valid subset and returns a
-        :class:`~repro.transactions.BatchReport`.
+        *this* structure); any invalid request rejects it atomically.
         """
         updates = list(updates)
         rejections = validate_batch_update(
@@ -753,12 +734,11 @@ class RBSTS:
             is_member=self.contains,
         )
 
-        def apply(admitted: Sequence[Tuple[BSTNode, Any]]) -> Tuple[Any, List[Any]]:
+        def apply(admitted: Sequence[Tuple[BSTNode, Any]]) -> None:
             self._batch_update_core(admitted, tracker)
-            return None, [item for _, item in admitted]
 
-        return execute_batch(
-            self, updates, rejections, apply, policy=policy, verb="batch_update_items"
+        execute_batch(
+            self, updates, rejections, apply, verb="batch_update_items"
         )
 
     def _batch_update_core(

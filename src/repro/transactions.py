@@ -23,12 +23,12 @@ a batch".  This module supplies the three pieces both backends share:
    snapshot (DESIGN.md §7 maps this to the Theorems 2.2/2.3
    distribution-preservation claim).
 
-3. **The driver** (:func:`execute_batch`): strict/partial policy
-   dispatch around a journaled core apply.  ``policy="strict"``
-   (default) rejects the whole batch atomically on any invalid
-   request; ``policy="partial"`` drops rejected requests, applies the
-   rest transactionally, and returns a :class:`BatchReport` with one
-   :class:`RequestOutcome` per submitted request.
+3. **The driver** (:func:`execute_batch`): the one admission
+   contract around a journaled core apply — any invalid request
+   rejects the whole batch atomically; otherwise the batch is applied
+   inside a journal.  Per-request admission (drop the rejected
+   requests, apply the rest, report a status per request) lives in
+   one place only, the serve window (:mod:`repro.serve.shard`).
 
 Journal mechanics
 -----------------
@@ -60,14 +60,9 @@ sees bit-identical simulated costs with journaling on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, List, Sequence, Set, Tuple
 
-from .errors import (
-    InvalidParameterError,
-    RequestRejection,
-    batch_validation_error,
-)
+from .errors import RequestRejection, batch_validation_error
 from .snapshots.core import (
     FLAT_COLUMNS as _SNAP_FLAT_COLUMNS,
     FlatSnapshot,
@@ -75,9 +70,6 @@ from .snapshots.core import (
 )
 
 __all__ = [
-    "POLICIES",
-    "RequestOutcome",
-    "BatchReport",
     "validate_batch_insert",
     "validate_batch_delete",
     "validate_batch_update",
@@ -85,60 +77,6 @@ __all__ = [
     "FlatJournal",
     "execute_batch",
 ]
-
-POLICIES = ("strict", "partial")
-
-
-# ---------------------------------------------------------------------------
-# per-request outcome reporting (policy="partial")
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RequestOutcome:
-    """Outcome of one request in a ``policy="partial"`` batch."""
-
-    index: int
-    accepted: bool
-    result: Any = None
-    reason: str = ""
-    detail: str = ""
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        if self.accepted:
-            return f"request[{self.index}]: applied"
-        return f"request[{self.index}]: rejected ({self.reason})"
-
-
-@dataclass(frozen=True)
-class BatchReport:
-    """Per-request report returned by ``policy="partial"`` batch calls.
-
-    ``outcomes`` has one entry per *submitted* request, in submission
-    order.  ``applied``/``rejected`` are the split counts.  For batch
-    inserts each accepted outcome's ``result`` is the new leaf handle;
-    for batch deletes it is the deleted item.
-    """
-
-    outcomes: Tuple[RequestOutcome, ...]
-
-    @property
-    def applied(self) -> int:
-        return sum(1 for o in self.outcomes if o.accepted)
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for o in self.outcomes if not o.accepted)
-
-    @property
-    def results(self) -> List[Any]:
-        """Results of the accepted requests, in submission order."""
-        return [o.result for o in self.outcomes if o.accepted]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchReport(applied={self.applied}, rejected={self.rejected})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +88,25 @@ def validate_batch_insert(
     n_leaves: int, requests: Sequence[Tuple[int, Any]]
 ) -> List[RequestRejection]:
     """Validate a batch of ``(index, item)`` insert requests against the
-    pre-batch sequence length.  Touches no state, draws no randomness."""
+    pre-batch sequence length.  Touches no state, draws no randomness.
+    A ``bool`` is an ``int`` subclass, but ``True`` is not position 1:
+    it is rejected like any other non-integer position."""
     rejections: List[RequestRejection] = []
     for i, req in enumerate(requests):
         idx = req[0]
-        if not isinstance(idx, int) or not 0 <= idx <= n_leaves:
-            rejections.append(
-                RequestRejection(
-                    i,
-                    "position-out-of-range",
-                    f"insert position {idx!r} out of range 0..{n_leaves}",
-                )
+        if isinstance(idx, int) and not isinstance(idx, bool):
+            if 0 <= idx <= n_leaves:
+                continue
+            note = ""
+        else:
+            note = f" ({type(idx).__name__}, not int)"
+        rejections.append(
+            RequestRejection(
+                i,
+                "position-out-of-range",
+                f"insert position {idx!r}{note} out of range 0..{n_leaves}",
             )
+        )
     return rejections
 
 
@@ -178,7 +123,8 @@ def validate_batch_delete(
     unknown-handle, then duplicate-handle — followed by the batch-level
     delete-all-leaves check over the surviving valid requests (deleting
     every leaf is rejected as a whole: *all* otherwise-valid requests
-    are marked, so ``policy="partial"`` applies none of them).
+    are marked, so a per-request admission layer applies none of
+    them).
     The predicate callables let both backends share identical
     accept/reject behaviour.
     """
@@ -286,7 +232,7 @@ class FlatJournal(FlatSnapshot):
 
 
 # ---------------------------------------------------------------------------
-# the policy driver
+# the batch driver
 # ---------------------------------------------------------------------------
 
 
@@ -294,72 +240,34 @@ def execute_batch(
     tree: Any,
     requests: Sequence[Any],
     rejections: Sequence[RequestRejection],
-    apply: Callable[[Sequence[Any]], Tuple[Any, Optional[List[Any]]]],
+    apply: Callable[[Sequence[Any]], Any],
     *,
-    policy: str,
     verb: str,
 ) -> Any:
-    """Run one batch under ``policy``.
+    """Run one whole batch atomically.
 
-    ``apply(admitted)`` performs the already-validated core batch and
-    returns ``(public_result, per_admitted_results)``; it runs inside a
-    transaction (``tree._txn_begin``/``_txn_rollback``/``_txn_commit``)
-    so any escaping exception — including injected crash faults —
-    restores the pre-batch state bit-for-bit before propagating.
-
-    * ``strict`` (default): any rejection aborts the whole batch —
-      ``last_batch_stats`` is reset to ``{}`` and the factory-chosen
-      :class:`~repro.errors.BatchValidationError` subclass raised;
-      otherwise returns ``public_result``.
-    * ``partial``: rejected requests are dropped, the remainder applied
-      transactionally, and a :class:`BatchReport` returned.
+    Any rejection aborts the whole batch before any state is touched:
+    ``last_batch_stats`` is reset to ``{}`` and the factory-chosen
+    :class:`~repro.errors.BatchValidationError` subclass raised.
+    Otherwise ``apply(requests)`` performs the core batch and its
+    result is returned; it runs inside a transaction
+    (``tree._txn_begin``/``_txn_rollback``/``_txn_commit``) so any
+    escaping exception — including injected crash faults — restores
+    the pre-batch state bit-for-bit before propagating.
     """
-    if policy not in POLICIES:
-        raise InvalidParameterError(
-            f"unknown batch policy {policy!r} (expected one of {POLICIES})"
-        )
-
-    if policy == "strict":
-        if rejections:
-            tree.last_batch_stats = {}
-            raise batch_validation_error(
-                rejections, len(requests), verb=verb
-            )
-        if not requests:
-            return apply(requests)[0]
-        return _apply_txn(tree, requests, apply)[0]
-
-    # policy == "partial"
-    rej_by_index = {r.index: r for r in rejections}
-    admitted = [
-        req for i, req in enumerate(requests) if i not in rej_by_index
-    ]
-    per_admitted: Optional[List[Any]] = None
-    if admitted:
-        _, per_admitted = _apply_txn(tree, admitted, apply)
-    elif requests:
-        # Nothing applied: don't leave the previous batch's stats around.
+    if rejections:
         tree.last_batch_stats = {}
-    outcomes: List[RequestOutcome] = []
-    ai = 0
-    for i in range(len(requests)):
-        rej = rej_by_index.get(i)
-        if rej is not None:
-            outcomes.append(
-                RequestOutcome(i, False, None, rej.reason, rej.detail)
-            )
-        else:
-            result = per_admitted[ai] if per_admitted is not None else None
-            outcomes.append(RequestOutcome(i, True, result))
-            ai += 1
-    return BatchReport(tuple(outcomes))
+        raise batch_validation_error(rejections, len(requests), verb=verb)
+    if not requests:
+        return apply(requests)
+    return _apply_txn(tree, requests, apply)
 
 
 def _apply_txn(
     tree: Any,
     admitted: Sequence[Any],
-    apply: Callable[[Sequence[Any]], Tuple[Any, Optional[List[Any]]]],
-) -> Tuple[Any, Optional[List[Any]]]:
+    apply: Callable[[Sequence[Any]], Any],
+) -> Any:
     # Nested-transaction flattening: when an *outer* transaction is
     # already open (``tree._txn`` set — e.g. the resilience layer's
     # batch checkpoint, see :mod:`repro.resilience.executor`), the inner

@@ -105,18 +105,24 @@ def test_default_baseline_missing_exits_2(regress, monkeypatch, tmp_path):
 
 def gate_run(regress, ratios):
     """A current report holding one reference/flat pair per gate cell in
-    ``ratios``, timed so reference / flat is exactly that ratio."""
+    ``ratios``, timed so reference / flat is exactly that ratio in every
+    repeat (a list of ratios gives one repeat each)."""
     cells = []
     for exp, ratio in ratios.items():
         cell = regress.perf_harness.GATE_CELLS[exp]
-        for backend, wall in (("reference", ratio), ("flat", 1.0)):
+        per_repeat = ratio if isinstance(ratio, list) else [ratio]
+        for backend, walls in (
+            ("reference", per_repeat),
+            ("flat", [1.0] * len(per_repeat)),
+        ):
             cells.append(
                 {
                     "experiment": exp,
                     "cell": {"n": cell["n"], "u": cell["u"]},
                     "backend": backend,
                     "simulated": {},
-                    "wall_clock_s": wall,
+                    "wall_clock_s": min(walls),
+                    "repeat_wall_clock_s": walls,
                 }
             )
     return {"cells": cells}
@@ -135,6 +141,19 @@ def test_below_floor_gate_ratio_fails(regress, exp):
 def test_at_floor_gate_ratios_pass(regress, capsys):
     assert regress.gate_failures(gate_run(regress, regress.MIN_SPEEDUPS)) == []
     assert capsys.readouterr().out.count("OK") == 3
+
+
+def test_gate_judges_the_median_repeat_ratio(regress, capsys):
+    floor = regress.MIN_SPEEDUPS["E5"]
+    # One noisy repeat under the floor does not fail the gate ...
+    outlier = [floor - 0.5, floor + 0.1, floor + 0.2]
+    assert regress.gate_failures(gate_run(regress, {"E5": outlier})) == []
+    out = capsys.readouterr().out
+    assert " ".join(f"{r:.3f}" for r in outlier) in out  # every repeat shown
+    # ... but a median under the floor does, even past one fast repeat.
+    slow = [floor - 0.2, floor - 0.1, floor + 1.0]
+    failures = regress.gate_failures(gate_run(regress, {"E5": slow}))
+    assert len(failures) == 1 and "below floor" in failures[0]
 
 
 def test_missing_gate_cell_is_skipped(regress, capsys):

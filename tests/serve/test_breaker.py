@@ -68,7 +68,7 @@ def test_breaker_opens_after_consecutive_failures_and_recovers():
 
 
 def test_failed_probe_reopens_with_doubled_interval():
-    shard = make_shard(breaker_backoff_factor=2.0)
+    shard = make_shard()
     _break_structure(shard)
     shard.execute_window([req(0)], 0.0)
     shard.execute_window([req(1)], 0.0)

@@ -77,6 +77,7 @@ def test_admission_rejects_via_shared_validators():
         req(2, "delete", 0),          # duplicate-handle
         req(3, "set", 99, 5),         # unknown-handle
         req(4, "insert", 1, 50),      # fine
+        req(5, "insert", True, 9),    # bool is not position 1
     ]
     out = shard.execute_window(window, now=0.0)
     assert out[0].status == "rejected"
@@ -87,6 +88,8 @@ def test_admission_rejects_via_shared_validators():
     assert out[3].status == "rejected"
     assert out[3].reason == "unknown-handle"
     assert out[4].status == "applied"
+    assert out[5].status == "rejected"
+    assert out[5].reason == "position-out-of-range"
     assert shard.values() == [2, 50, 3]
 
 
@@ -220,7 +223,7 @@ def test_retry_budget_computation():
     shard = make_shard(
         resilience=ResiliencePolicy(
             ladder=("flat",), max_retries=3,
-            backoff_base_s=1.0, backoff_factor=2.0,
+            backoff_base_s=1.0,
         )
     )
     policy = shard.policy.resilience

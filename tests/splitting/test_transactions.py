@@ -5,7 +5,6 @@ Covers, for *both* backends with identical observable behaviour:
 * whole-batch admission control (no mutation, no RNG consumption, and
   ``last_batch_stats`` reset on rejection — the stale-stats regression);
 * degenerate batches: empty, size-1, delete-to-minimum, duplicates;
-* ``policy="partial"`` per-request outcome reports;
 * crash-consistent rollback: a :class:`CrashInjected` raised at an
   interior point of the apply restores the pre-batch state bit-for-bit.
 """
@@ -21,7 +20,6 @@ from repro.errors import (
     BatchPositionError,
     BatchStructureError,
     BatchValidationError,
-    InvalidParameterError,
     TreeStructureError,
     UnknownNodeError,
 )
@@ -29,7 +27,6 @@ from repro.listprefix.structure import IncrementalListPrefix
 from repro.splitting.rbsts import RBSTS
 from repro.testing.crashes import CrashController, CrashInjected, crash_points
 from repro.testing.oracles import shape_signature
-from repro.transactions import BatchReport
 
 BACKENDS = ["reference", "flat"]
 
@@ -113,25 +110,13 @@ def test_delete_all_leaves_rejected_whole_batch(backend):
     assert {r.reason for r in ei.value.rejections} == {"delete-all-leaves"}
     assert len(ei.value.rejections) == 3  # every request marked
     assert_unchanged(tree, snap, stats_reset=True)
-    # policy="partial" applies *none* of them either.
-    report = tree.batch_delete(handles, policy="partial")
-    assert isinstance(report, BatchReport)
-    assert report.applied == 0 and report.rejected == 3
-    assert tree.n_leaves == 3
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unknown_policy_rejected(backend):
-    tree = make(backend=backend)
-    with pytest.raises(InvalidParameterError):
-        tree.batch_insert([(0, 1)], policy="optimistic")
 
 
 def test_rejection_behaviour_identical_across_backends():
     """Same batch, same rejection reasons/indices/order, zero RNG on
     both backends."""
     ref, flat = make(backend="reference"), make(backend="flat")
-    bad = [(0, 1), (-2, 2), (999, 3)]
+    bad = [(0, 1), (-2, 2), (999, 3), (True, 4)]
     outs = {}
     for name, tree in (("reference", ref), ("flat", flat)):
         rng0 = tree.rng_state()
@@ -142,6 +127,7 @@ def test_rejection_behaviour_identical_across_backends():
     assert outs["reference"] == outs["flat"] == [
         (1, "position-out-of-range"),
         (2, "position-out-of-range"),
+        (3, "position-out-of-range"),
     ]
 
 
@@ -158,13 +144,6 @@ def test_empty_batches_are_no_ops(backend):
     assert tree.batch_delete([]) is None
     assert tree.batch_update_items([]) is None
     assert_unchanged(tree, snap)
-    for report in (
-        tree.batch_insert([], policy="partial"),
-        tree.batch_delete([], policy="partial"),
-        tree.batch_update_items([], policy="partial"),
-    ):
-        assert isinstance(report, BatchReport)
-        assert report.applied == report.rejected == 0
 
 
 def test_size_one_batches_identical_across_backends():
@@ -184,39 +163,6 @@ def test_delete_to_minimum(backend):
     tree.batch_delete([tree.leaf_at(i) for i in (0, 1, 2, 3)])
     assert tree.n_leaves == 1
     tree.check_invariants()
-
-
-# ---------------------------------------------------------------------------
-# policy="partial"
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_partial_insert_reports_and_applies_subset(backend):
-    tree = make(4, backend=backend)
-    before = [leaf.item for leaf in tree.leaves()]
-    report = tree.batch_insert(
-        [(0, "a"), (99, "b"), (4, "c")], policy="partial"
-    )
-    assert isinstance(report, BatchReport)
-    assert report.applied == 2 and report.rejected == 1
-    assert [o.accepted for o in report.outcomes] == [True, False, True]
-    assert report.outcomes[1].reason == "position-out-of-range"
-    # Accepted outcomes carry the new leaf handles.
-    a, c = report.results
-    assert a.item == "a" and c.item == "c"
-    assert [leaf.item for leaf in tree.leaves()] == ["a"] + before + ["c"]
-    tree.check_invariants()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_partial_all_rejected_resets_stats(backend):
-    tree = make(backend=backend)
-    tree.batch_insert([(0, 1)])
-    assert tree.last_batch_stats  # populated by the successful batch
-    report = tree.batch_insert([(999, 1)], policy="partial")
-    assert report.applied == 0
-    assert tree.last_batch_stats == {}
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +255,12 @@ def test_crash_rollback_preserves_backend_equivalence():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_listprefix_policy_passthrough(backend):
+def test_listprefix_batch_passthrough(backend):
     lp = IncrementalListPrefix(
         sum_monoid(INTEGER), [1, 2, 3, 4], backend=backend
     )
     with pytest.raises(BatchPositionError):
         lp.batch_insert([(99, 5)])
-    report = lp.batch_insert([(99, 5), (0, 6)], policy="partial")
-    assert isinstance(report, BatchReport)
-    assert report.applied == 1 and report.rejected == 1
-    assert lp.values()[0] == 6
-    assert lp.total() == 16
+    assert lp.values() == [1, 2, 3, 4]
+    assert lp.total() == 10
     lp.check_invariants()
