@@ -6,10 +6,11 @@ E5 / E6 and records, per cell and per backend:
 * ``wall_clock_s`` — best-of-``REPEATS`` wall-clock for the whole cell
   (structure construction + the measured batch, matching the protocol
   of the corresponding ``bench_eN_*.py`` experiment), and
-  ``repeat_wall_clock_s``, every repeat's time.  A cell's
+  ``repeat_wall_clock_s``, every repeat's time.  Every cell runs its
+  repeats with the backends alternating (:func:`run_pair`; the gate
+  cells ``GATE_REPEATS`` of them, R1 ``R1_REPEATS``), and its
   flat-over-reference speedup is the median of the per-repeat ratios
-  (:func:`speedup_ratios`); the gate cells run ``GATE_REPEATS``
-  repeats with the backends alternating;
+  (:func:`speedup_ratios`);
 * ``simulated`` — the machine-independent costs (PRAM work / span,
   activation rounds, rebuild mass, wound sizes).  These are exact
   deterministic functions of the seeds, so they must be *identical*
@@ -56,12 +57,12 @@ DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_PR7.json")
 BACKENDS = ("reference", "flat")
 REPEATS = 3
 SEEDS = (0, 1, 2)
-#: R1 repeats: its gated ratio is the median over these.
+#: R1 repeats: its gated overhead ratio is the median over these.
 R1_REPEATS = 9
-#: Gate-cell repeats: each times one reference and one flat sweep back
-#: to back, and the gated speedup is the median of their ratios.  One
-#: best-of-3 per backend divides timings taken seconds apart, and on a
-#: shared host that quotient fell under the E5 floor on unchanged code.
+#: Gate-cell repeats: the gated speedup is the median of their ratios.
+#: One best-of-3 per backend divides timings taken seconds apart, and
+#: on a shared host that quotient fell under the E5 floor on unchanged
+#: code.
 GATE_REPEATS = 9
 
 # The acceptance-gate cells: flat-over-reference speedup floors live in
@@ -231,11 +232,12 @@ def cell_r1(backend: str, seed: int, n: int, u: int) -> Tuple[float, Dict, float
     return supervised_s, sim, bare_s
 
 
-KERNELS: Dict[str, Callable[..., Tuple[float, Dict]]] = {
+KERNELS: Dict[str, Callable[..., Tuple]] = {
     "E1": cell_e1,
     "E4": cell_e4,
     "E5": cell_e5,
     "E6": cell_e6,
+    "R1": cell_r1,
 }
 
 
@@ -264,69 +266,80 @@ def grid(quick: bool) -> List[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
-def _sweep(spec: Dict[str, Any], backend: str) -> Tuple[float, Dict[str, Any]]:
-    """One repeat of a cell: its kernel over every seed, timings and
-    simulated costs summed."""
+def _is_gate(spec: Dict[str, Any]) -> bool:
+    return GATE_CELLS.get(spec["experiment"]) == {"n": spec["n"], "u": spec["u"]}
+
+
+def repeats_of(spec: Dict[str, Any]) -> int:
+    """How many paired repeats :func:`run_pair` runs for a cell."""
+    if spec["experiment"] == "R1":
+        return R1_REPEATS
+    return GATE_REPEATS if _is_gate(spec) else REPEATS
+
+
+def _sweep(
+    spec: Dict[str, Any], backend: str
+) -> Tuple[float, Dict[str, Any], float]:
+    """One repeat of a cell on one backend: its kernel over every seed,
+    timings and simulated costs summed.  The third value is R1's summed
+    bare time (0.0 for the other cells).  Starts from a collected heap,
+    so allocator debris from the previous sweep or cell is not timed."""
     kernel = KERNELS[spec["experiment"]]
-    total = 0.0
+    total = bare = 0.0
     sim_acc: Dict[str, Any] = {}
+    gc.collect()
     for seed in SEEDS:
-        dt, sim = kernel(backend, seed, spec["n"], spec["u"])
+        dt, sim, *off = kernel(backend, seed, spec["n"], spec["u"])
         total += dt
+        bare += sum(off)
         for k, v in sim.items():
             sim_acc[k] = sim_acc.get(k, 0) + v
-    return total, sim_acc
+    return total, sim_acc, bare
 
 
-def _entry(
-    spec: Dict[str, Any], backend: str, totals: List[float], simulated: Dict
-) -> Dict[str, Any]:
-    return {
-        "experiment": spec["experiment"],
-        "cell": {"n": spec["n"], "u": spec["u"], "seeds": list(SEEDS)},
-        "backend": backend,
-        "wall_clock_s": round(min(totals), 6),
-        "repeat_wall_clock_s": [round(t, 6) for t in totals],
-        "simulated": simulated,
-    }
-
-
-def _check_repeat(
-    spec: Dict[str, Any], backend: str, simulated: Dict, sim_acc: Dict
-) -> None:
-    if simulated and simulated != sim_acc:
-        raise RuntimeError(
-            f"non-deterministic simulated costs in {spec} ({backend}): "
-            f"{simulated} != {sim_acc}"
-        )
-
-
-def run_cell(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
-    if spec["experiment"] == "R1":
-        return _run_cell_r1(spec, backend)
-    totals: List[float] = []
-    simulated: Dict[str, Any] = {}
-    for _ in range(REPEATS):
-        total, sim_acc = _sweep(spec, backend)
-        _check_repeat(spec, backend, simulated, sim_acc)
-        totals.append(total)
-        simulated = sim_acc
-    return _entry(spec, backend, totals, simulated)
-
-
-def run_gate_cell(spec: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """A gate cell on both backends: ``GATE_REPEATS`` repeats, each one
+def run_pair(spec: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """A cell on both backends: :func:`repeats_of` repeats, each one
     sweep per backend back to back, so every repeat's ratio divides
-    timings taken under the same host conditions."""
+    timings taken under the same host conditions.
+
+    ``wall_clock_s`` is the best of the first ``REPEATS`` repeats, the
+    statistic the stored baseline records; ``repeat_wall_clock_s`` holds
+    every repeat.  R1 entries also carry ``bare_wall_clock_s`` (same
+    best-of) and ``overhead_ratio``, the median over the repeats of
+    supervised / bare wall-clock — ``regress.py`` gates it at 1.10 so
+    the checkpoint seam can never silently slow the fault-free fast path
+    by more than 10%."""
     totals: Dict[str, List[float]] = {b: [] for b in BACKENDS}
+    bares: Dict[str, List[float]] = {b: [] for b in BACKENDS}
     simulated: Dict[str, Dict[str, Any]] = {b: {} for b in BACKENDS}
-    for _ in range(GATE_REPEATS):
+    for _ in range(repeats_of(spec)):
         for backend in BACKENDS:
-            total, sim_acc = _sweep(spec, backend)
-            _check_repeat(spec, backend, simulated[backend], sim_acc)
+            total, sim_acc, bare = _sweep(spec, backend)
+            if simulated[backend] and simulated[backend] != sim_acc:
+                raise RuntimeError(
+                    f"non-deterministic simulated costs in {spec} ({backend}): "
+                    f"{simulated[backend]} != {sim_acc}"
+                )
             totals[backend].append(total)
+            bares[backend].append(bare)
             simulated[backend] = sim_acc
-    return {b: _entry(spec, b, totals[b], simulated[b]) for b in BACKENDS}
+    entries = {}
+    for b in BACKENDS:
+        entry = {
+            "experiment": spec["experiment"],
+            "cell": {"n": spec["n"], "u": spec["u"], "seeds": list(SEEDS)},
+            "backend": b,
+            "wall_clock_s": round(min(totals[b][:REPEATS]), 6),
+            "repeat_wall_clock_s": [round(t, 6) for t in totals[b]],
+            "simulated": simulated[b],
+        }
+        if spec["experiment"] == "R1":
+            entry["bare_wall_clock_s"] = round(min(bares[b][:REPEATS]), 6)
+            entry["overhead_ratio"] = round(
+                statistics.median(t / o for t, o in zip(totals[b], bares[b])), 3
+            )
+        entries[b] = entry
+    return entries
 
 
 def speedup_ratios(ref: Dict[str, Any], flat: Dict[str, Any]) -> List[float]:
@@ -337,62 +350,16 @@ def speedup_ratios(ref: Dict[str, Any], flat: Dict[str, Any]) -> List[float]:
     ]
 
 
-def _run_cell_r1(spec: Dict[str, Any], backend: str) -> Dict[str, Any]:
-    """The resilience-overhead cell: like :func:`run_cell` but also
-    records ``overhead_ratio`` as a top-level key — ``regress.py`` gates
-    it at 1.10 so the checkpoint seam can never silently slow the
-    fault-free fast path by more than 10%.  The ratio is the median over
-    ``R1_REPEATS`` repeats of supervised / bare wall-clock, each repeat
-    timing both phases back to back: a best-of-3 on each side divides
-    timings taken seconds apart, and on a host whose speed drifts that
-    quotient tripped the ceiling on noise alone."""
-    n, u = spec["n"], spec["u"]
-    totals_on: List[float] = []
-    best_off = float("inf")
-    ratios: List[float] = []
-    simulated: Dict[str, Any] = {}
-    for _ in range(R1_REPEATS):
-        total_on = total_off = 0.0
-        sim_acc: Dict[str, Any] = {}
-        for seed in SEEDS:
-            dt_on, sim, dt_off = cell_r1(backend, seed, n, u)
-            total_on += dt_on
-            total_off += dt_off
-            for k, v in sim.items():
-                sim_acc[k] = sim_acc.get(k, 0) + v
-        totals_on.append(total_on)
-        best_off = min(best_off, total_off)
-        ratios.append(total_on / total_off)
-        _check_repeat(spec, backend, simulated, sim_acc)
-        simulated = sim_acc
-    return dict(
-        _entry(spec, backend, totals_on, simulated),
-        bare_wall_clock_s=round(best_off, 6),
-        overhead_ratio=round(statistics.median(ratios), 3),
-    )
-
-
-def _is_gate(spec: Dict[str, Any]) -> bool:
-    return GATE_CELLS.get(spec["experiment"]) == {"n": spec["n"], "u": spec["u"]}
-
-
 def run(quick: bool = False, cells: str = "all") -> Dict[str, Any]:
     specs = grid(quick)
     if cells == "gate":
         # Just the speedup-gated cells (regress.py --cells gate).
-        specs = [
-            s
-            for s in specs
-            if _is_gate(s)
-        ]
+        specs = [s for s in specs if _is_gate(s)]
     elif cells != "all":
         raise ValueError(f"unknown cells mode {cells!r}")
     entries: List[Dict[str, Any]] = []
     for spec in specs:
-        if _is_gate(spec):
-            per_backend = run_gate_cell(spec)
-        else:
-            per_backend = {b: run_cell(spec, b) for b in BACKENDS}
+        per_backend = run_pair(spec)
         for backend, entry in per_backend.items():
             entries.append(entry)
             print(
@@ -446,7 +413,8 @@ def run(quick: bool = False, cells: str = "all") -> Dict[str, Any]:
         "platform": platform.platform(),
         "quick": quick,
         "cells_mode": cells,
-        "repeats": REPEATS,
+        "repeats": {"cell": REPEATS, "gate": GATE_REPEATS, "R1": R1_REPEATS},
+        "wall_clock_best_of": REPEATS,
         "cells": entries,
         "summary": summary,
     }
