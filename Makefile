@@ -79,8 +79,8 @@ bench-pairs:
 regress:
 	$(PYTHON) benchmarks/regress.py
 
-## Static invariants: the repro.lint site rules (R001, R003, R004,
-## R005) over src/repro, then the
+## Static invariants: the repro.lint site rules (R001, R003, R005)
+## over src/repro, then the
 ## interprocedural effect pass (R201, R202, R204), then strict mypy on the
 ## typed core when mypy is importable (the CI lint job installs it;
 ## local runs without mypy skip that half with a notice).

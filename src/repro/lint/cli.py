@@ -44,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-level invariant checks for the repo: error-taxonomy "
-            "raises (R001), backend API parity (R003), journal/"
-            "crash-point coverage (R004) and __all__ hygiene (R005)."
+            "raises (R001), backend API parity (R003) and __all__ "
+            "hygiene (R005)."
         ),
     )
     parser.add_argument(

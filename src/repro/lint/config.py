@@ -11,14 +11,12 @@ Paths are repo-root-relative with forward slashes (matching
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from ..snapshots.core import FLAT_SNAPSHOT_COLUMNS, REFERENCE_SNAPSHOT_FIELDS
 
 __all__ = [
     "ParityPair",
-    "JournalSpec",
-    "SnapshotSpec",
     "EffectEntry",
     "LintConfig",
     "REPO_CONFIG",
@@ -132,269 +130,6 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         ),
     ),
 )
-
-
-# ---------------------------------------------------------------------------
-# R004 — journal / crash-point coverage
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JournalSpec:
-    """One backend class whose interior mutations must be journal-guarded.
-
-    A method *mutates interior state* when it stores to a structural
-    node attribute (``node_fields``) on any object, subscript-assigns
-    into a column (``columns``), or calls a growing/shrinking list
-    method (``append``/``extend``/``insert``/``pop``/``clear``) on a
-    column.  Every such method must reference the journal seam
-    (``self._journal``), be registered as a crash-point hook in
-    ``testing/crashes.py``, or appear in ``allowlist`` (with a
-    justification).
-
-    ``class_name=None`` scans the whole module instead of one class:
-    every top-level function and every method of every class is
-    checked.  This is how the resilience layer is covered — its scrub
-    rewrites and checkpoint restores mutate *someone else's* backend,
-    so ``any_receiver=True`` widens column matching from ``self.<col>``
-    to ``<any expr>.<col>`` (e.g. ``tree._n_leaves[s] = ...``).
-    """
-
-    path: str
-    class_name: Optional[str] = None
-    node_fields: FrozenSet[str] = frozenset()
-    columns: FrozenSet[str] = frozenset()
-    allowlist: Mapping[str, str] = field(default_factory=dict)
-    any_receiver: bool = False
-
-
-#: The file whose ``_patch(Class, "hook", ...)`` calls register the
-#: crash-point hooks (R004 cross-checks that each hook still exists).
-CRASH_POINTS_PATH = "src/repro/testing/crashes.py"
-
-JOURNAL_SPECS: Tuple[JournalSpec, ...] = (
-    JournalSpec(
-        path="src/repro/splitting/rbsts.py",
-        class_name="RBSTS",
-        node_fields=frozenset(
-            {
-                "left",
-                "right",
-                "parent",
-                "depth",
-                "height",
-                "n_leaves",
-                "summary",
-                "shortcuts",
-                "item",
-            }
-        ),
-        allowlist={
-            "__init__": "construction precedes the first transaction",
-            "_new_node": (
-                "initialises a node created this operation; no pre-image "
-                "exists to journal"
-            ),
-            "insert": (
-                "single-op path: payload store targets the freshly "
-                "allocated leaf only; structural splices happen inside "
-                "_rebuild_at/_update_upward (journaled + crash-ticked)"
-            ),
-            "delete": (
-                "single-op path: mutations confined to _rebuild_at/"
-                "_update_upward (journaled + crash-ticked)"
-            ),
-            "_batch_insert_core": (
-                "payload stores target leaves created this batch (no "
-                "pre-image to journal); structural splices run inside "
-                "_rebuild_at, which journals and crash-ticks"
-            ),
-        },
-    ),
-    JournalSpec(
-        path="src/repro/perf/flat_rbsts.py",
-        class_name="FlatRBSTS",
-        columns=frozenset(
-            {
-                "_parent",
-                "_left",
-                "_right",
-                "_n_leaves",
-                "_depth",
-                "_height",
-                "_shortcuts",
-                "_item",
-                "_summary",
-                "_active",
-                "_low",
-                "_handle",
-                "_free",
-            }
-        ),
-        allowlist={
-            "__init__": "construction precedes the first transaction",
-            "_build": (
-                "bulk construction from __init__; runs before any "
-                "transaction exists"
-            ),
-            "insert": (
-                "single-op path: stores target the slot allocated this "
-                "call; splices happen inside _rebuild_at/_update_upward "
-                "(journaled + crash-ticked)"
-            ),
-            "delete": (
-                "single-op path: mutations confined to journaled/"
-                "crash-ticked helpers"
-            ),
-            "_rebuild_without": (
-                "delete helper operating on slots whose pre-images the "
-                "caller's _rebuild_at journal entry already captured"
-            ),
-            "handle": (
-                "lazy interning-cache fill (slot -> FlatLeaf); "
-                "idempotent and derivable, not structural state the "
-                "crash fuzzer needs to roll back"
-            ),
-        },
-    ),
-    # Resilience-layer mutation sites (module scans).  Scrub rewrites
-    # and checkpoint restores patch *another object's* backend cells, so
-    # column matching is receiver-agnostic.  ``resilience/faults.py`` is
-    # deliberately NOT covered: it is the attacker — its whole point is
-    # unjournaled corruption (in-batch damage targets journal-covered
-    # cells by construction; at-rest damage is scrub-and-repair's diet).
-    JournalSpec(
-        path="src/repro/resilience/scrub.py",
-        class_name=None,
-        node_fields=frozenset(
-            {
-                "left",
-                "right",
-                "parent",
-                "depth",
-                "height",
-                "n_leaves",
-                "summary",
-                "shortcuts",
-            }
-        ),
-        columns=frozenset(
-            {
-                "_parent",
-                "_left",
-                "_right",
-                "_n_leaves",
-                "_depth",
-                "_height",
-                "_shortcuts",
-                "_item",
-                "_summary",
-                "_free",
-            }
-        ),
-        any_receiver=True,
-        allowlist={},
-    ),
-    JournalSpec(
-        path="src/repro/resilience/executor.py",
-        class_name=None,
-        node_fields=frozenset(
-            {
-                "left",
-                "right",
-                "parent",
-                "depth",
-                "height",
-                "n_leaves",
-                "summary",
-                "shortcuts",
-            }
-        ),
-        columns=frozenset(
-            {
-                "_parent",
-                "_left",
-                "_right",
-                "_n_leaves",
-                "_depth",
-                "_height",
-                "_shortcuts",
-                "_item",
-                "_summary",
-                "_free",
-            }
-        ),
-        any_receiver=True,
-        allowlist={},
-    ),
-)
-
-
-# ---------------------------------------------------------------------------
-# R004 — snapshot-coverage mode (PR 8)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SnapshotSpec:
-    """One backend class whose mutated state must be *restorable via the
-    unified snapshot path* (``repro.snapshots``).
-
-    The journal mode above asks "is this mutation observed?"; the
-    snapshot mode asks the complementary question: "does the snapshot
-    restore bring this state back?".  A mutation of a column or node
-    field **outside** the declared coverage sets is state a
-    ``Snapshot.restore`` / ``SnapshotState.restore`` silently loses —
-    exactly the bug class the crash/snapshot fuzzers cannot see, because
-    their bit-for-bit audits only compare covered state.
-
-    * ``columns`` — the ``self._<col>`` containers the snapshot path
-      restores (:data:`repro.snapshots.core.FLAT_SNAPSHOT_COLUMNS` for
-      the flat family).  Any subscript store or list-mutator call on a
-      *different* private ``self._x`` container is flagged.
-    * ``node_class`` — ``(path, class)`` whose ``__slots__`` define the
-      node-field universe; fields outside ``covered_fields``
-      (:data:`repro.snapshots.core.REFERENCE_SNAPSHOT_FIELDS`) are
-      flagged when stored to.  Adding a slot to ``BSTNode`` and mutating
-      it without extending snapshot coverage fails lint.
-    * ``allowlist`` — method name -> justification for exempt sites
-      (e.g. scalar registers the snapshot captures separately).
-
-    R004 also cross-checks the crash-hook registry
-    (``testing/crashes.py``): every class with registered crash hooks
-    must be claimed by a SnapshotSpec or listed in
-    :data:`SNAPSHOT_EXEMPT` — a crash point inside an un-snapshottable
-    structure is a crash nobody can recover from.
-    """
-
-    path: str
-    class_name: str
-    columns: FrozenSet[str] = frozenset()
-    node_class: Optional[Tuple[str, str]] = None
-    covered_fields: FrozenSet[str] = frozenset()
-    allowlist: Mapping[str, str] = field(default_factory=dict)
-
-
-SNAPSHOT_SPECS: Tuple[SnapshotSpec, ...] = (
-    SnapshotSpec(
-        path="src/repro/splitting/rbsts.py",
-        class_name="RBSTS",
-        node_class=("src/repro/splitting/node.py", "BSTNode"),
-        covered_fields=REFERENCE_SNAPSHOT_FIELDS,
-    ),
-    SnapshotSpec(
-        path="src/repro/perf/flat_rbsts.py",
-        class_name="FlatRBSTS",
-        columns=FLAT_SNAPSHOT_COLUMNS,
-    ),
-)
-
-#: Crash-hooked classes that legitimately carry no snapshot-coverable
-#: structural state.  ``SnapshotIO`` is the persistence pipeline's
-#: stage-hook seam: its crash points bracket save/restore *of* snapshots
-#: and the atomic-write / re-restore contracts are what recover from
-#: them — there is nothing for a SnapshotSpec to cover.
-SNAPSHOT_EXEMPT: FrozenSet[str] = frozenset({"SnapshotIO"})
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +249,33 @@ EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
     )
 )
 
-#: ``path::qualname`` -> justification for functions that *are* a
-#: transaction seam even though no ``_txn_begin`` call appears in their
-#: own body.  These are the analysis's higher-order blind spots: the
-#: guard sits one call (or one callback indirection) below.
-TXN_GUARDS: Dict[str, str] = {
-    "src/repro/transactions.py::execute_batch": (
-        "every admitted mutation runs via _apply_txn's txn_begin/"
-        "rollback/commit bracket; the only direct apply() call is the "
-        "empty-batch path, which is mutation-free (nothing was "
-        "admitted)"
+#: PRAM simulation state is per-attempt scratch: pram_sum constructs a
+#: fresh FaultyMachine inside each supervised attempt, so a rolled-back
+#: attempt discards the whole machine and the retry rebuilds it.  No
+#: pre-image exists to restore (R202) and nothing inside a transaction
+#: region outlives the attempt (R204).
+_PER_ATTEMPT_MACHINE: Dict[str, str] = {
+    "src/repro/pram/machine.py::Machine.spawn": (
+        "mutates the process table of a machine constructed inside "
+        "the supervised attempt itself; retry rebuilds the machine"
+    ),
+    "src/repro/pram/memory.py::SharedMemory.commit": (
+        "EREW/CRCW staging buffers of a per-attempt machine; "
+        "discarded wholesale with the machine on rollback"
+    ),
+    "src/repro/resilience/faults.py::FaultySharedMemory.commit": (
+        "fault-injecting subclass of SharedMemory.commit; same "
+        "per-attempt-machine argument"
     ),
 }
+
+#: ``resilience/faults.py`` is the attacker: its whole point is
+#: unjournaled corruption (in-batch damage targets cells the open
+#: journal already saved; at-rest damage is scrub-and-repair's diet).
+_ATTACKER = (
+    "faults.py is the attacker: its in-batch damage targets only cells "
+    "the open journal already saved, so rollback restores them"
+)
 
 #: rule -> (owning ``path::qualname`` -> justification).  The effects
 #: pass drops a finding when the function *performing* the effect is
@@ -535,9 +285,33 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
     "R202": {
         "src/repro/perf/flat_rbsts.py::FlatRBSTS.handle": (
             "lazy interning-cache fill (slot -> FlatLeaf) on the "
-            "post-commit return path; idempotent and derivable, exempt "
-            "from journaling under R004 for the same reason"
+            "post-commit return path; idempotent and derivable, not "
+            "structural state a rollback needs"
         ),
+        "src/repro/splitting/build.py::build_subtree": (
+            "reused leaves are saved by RBSTS._rebuild_at's "
+            "record_rebuild before the build; internal nodes come from "
+            "new_node and are created this operation"
+        ),
+        "src/repro/perf/flat_rbsts.py::FlatRBSTS._build": (
+            "leaf slots are saved by _rebuild_at's save_slots before the "
+            "build; internal slots come from _alloc_internals, which "
+            "saves recycled slots and appends fresh ones (bulk "
+            "construction from __init__ runs before any transaction)"
+        ),
+        "src/repro/splitting/rbsts.py::RBSTS._batch_insert_core": (
+            "payload stores target leaves created this batch (no "
+            "pre-image to journal); structural splices run inside "
+            "_rebuild_at, which journals"
+        ),
+        "src/repro/perf/flat_rbsts.py::FlatRBSTS._batch_insert_core": (
+            "payload stores target slots _alloc_internals handed out "
+            "this batch (saved when recycled, fresh otherwise); "
+            "structural splices run inside _rebuild_at, which journals"
+        ),
+        "src/repro/resilience/faults.py::_corrupt_flat": _ATTACKER,
+        "src/repro/resilience/faults.py::_corrupt_reference": _ATTACKER,
+        **_PER_ATTEMPT_MACHINE,
     },
     "R204": {
         "src/repro/resilience/executor.py::ResilientExecutor._heal": (
@@ -546,23 +320,7 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
             "that cannot be healed in place; the open checkpoint still "
             "rewinds everything the failed repair touched"
         ),
-        # -- PRAM simulation state is per-attempt scratch: pram_sum
-        # constructs a fresh FaultyMachine inside each supervised
-        # attempt, so a rolled-back attempt discards the whole machine
-        # and the retry rebuilds it.  No pre-image exists to restore
-        # (the R004 _new_node argument, one level up).
-        "src/repro/pram/machine.py::Machine.spawn": (
-            "mutates the process table of a machine constructed inside "
-            "the supervised attempt itself; retry rebuilds the machine"
-        ),
-        "src/repro/pram/memory.py::SharedMemory.commit": (
-            "EREW/CRCW staging buffers of a per-attempt machine; "
-            "discarded wholesale with the machine on rollback"
-        ),
-        "src/repro/resilience/faults.py::FaultySharedMemory.commit": (
-            "fault-injecting subclass of SharedMemory.commit; same "
-            "per-attempt-machine argument"
-        ),
+        **_PER_ATTEMPT_MACHINE,
         # -- outcome-classification boundaries: each of these handlers
         # is the last stop of a differential/fuzz/resilience harness
         # whose *job* is to turn any escape (taxonomy included) into a
@@ -623,10 +381,6 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
 @dataclass(frozen=True)
 class LintConfig:
     parity_pairs: Tuple[ParityPair, ...] = PARITY_PAIRS
-    journal_specs: Tuple[JournalSpec, ...] = JOURNAL_SPECS
-    snapshot_specs: Tuple[SnapshotSpec, ...] = SNAPSHOT_SPECS
-    snapshot_exempt: FrozenSet[str] = SNAPSHOT_EXEMPT
-    crash_points_path: str = CRASH_POINTS_PATH
     allowed_builtins: FrozenSet[str] = R001_ALLOWED_BUILTINS
     forbidden_builtins: FrozenSet[str] = R001_FORBIDDEN_BUILTINS
     #: Modules exempt from R005's "must define __all__" requirement
@@ -634,9 +388,6 @@ class LintConfig:
     exports_exempt: FrozenSet[str] = frozenset()
     # -- R201/R202/R204 interprocedural effect analysis ----------------
     effect_entries: Tuple[EffectEntry, ...] = EFFECT_ENTRY_POINTS
-    txn_guards: Mapping[str, str] = field(
-        default_factory=lambda: dict(TXN_GUARDS)
-    )
     effect_allowlist: Mapping[str, Mapping[str, str]] = field(
         default_factory=lambda: {
             rule: dict(entries) for rule, entries in EFFECT_ALLOWLIST.items()

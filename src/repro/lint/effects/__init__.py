@@ -4,12 +4,11 @@ Pipeline: :mod:`extract` turns each source file into a cacheable
 :class:`~repro.lint.effects.model.ModuleSummary` of per-function effect
 atoms and call descriptors; :mod:`graph` links them into a call graph
 (inheritance-component ``self`` dispatch, duck-typed seams, callback
-edges) and computes reachability / guard-exposure fixpoints;
+edges) and answers reachability and transaction-region queries;
 :mod:`checks` runs the R2xx rules; :mod:`report` drives the whole pass
-and emits the ``repro-effects/1`` document.  Entry points,
-transaction guards and justified allowlists are
-registered in :mod:`repro.lint.config`, same as every other rule's
-exemptions.
+and emits the ``repro-effects/1`` document.  Entry points and
+justified allowlists are registered in :mod:`repro.lint.config`, same
+as every other rule's exemptions.
 """
 
 from .model import (

@@ -8,13 +8,15 @@
   closure deterministic, not just the entry function; a ``global-rng``
   atom off every closure (a load generator, a harness) is reported at
   its site, because lockstep replay needs every coin flip seeded.
-* **R202** — every mutation effect reachable from a batch entry point
-  is dominated by a snapshot/journal seam: a transaction bracket
-  (``_txn_begin``, rule R004's journal references, a registered
-  ``TXN_GUARDS`` seam) must sit on *every* call path from the entry to
-  the store.  Findings are cross-checked against the snapshot coverage
-  universe so the message says whether the escaping state is even
-  restorable.
+* **R202** — every function reachable from a batch entry point that
+  mutates state saves its own pre-image: it calls the journal seam
+  (``save_slot``/``save_slots``/``note_free_pops``/``record_*``/
+  ``restore`` on ``self._journal`` or ``journal``), opens a
+  transaction, or is an ``__init__``.  The question is asked per
+  function, not per path, so an unjournaled store inside a bracket is
+  a finding too: the bracket rolls back only what was saved.  Findings
+  are cross-checked against the snapshot coverage universe so the
+  message says whether the state is even restorable.
 * **R204** — transaction discipline: (a) mutations inside a
   ``txn_begin``…commit bracket that target state outside the snapshot
   coverage universe (rollback would silently lose them); (b) ``except``
@@ -49,13 +51,11 @@ class EffectPolicy:
     def __init__(
         self,
         entries: Sequence[Tuple[str, str, str, Tuple[str, ...]]],
-        txn_guards: Mapping[str, str],
         allowlist: Mapping[str, Mapping[str, str]],
         columns: FrozenSet[str],
         node_fields: FrozenSet[str],
     ) -> None:
         self.entries = tuple(entries)
-        self.txn_guards = dict(txn_guards)
         self.allowlist = {r: dict(m) for r, m in allowlist.items()}
         self.columns = columns
         self.node_fields = node_fields
@@ -195,7 +195,7 @@ def _check_r201(
 
 
 # ---------------------------------------------------------------------------
-# R202 — mutation dominated by a snapshot/journal seam
+# R202 — each mutating function saves its pre-image
 # ---------------------------------------------------------------------------
 
 
@@ -203,36 +203,40 @@ def _check_r202(
     graph: EffectGraph, policy: EffectPolicy
 ) -> List[Finding]:
     out: List[Finding] = []
-    guard_fids = frozenset(policy.txn_guards)
-    exposed = graph.exposed_mutations(guard_fids)
     seen: Set[Tuple[str, Atom]] = set()
     for entry, fid in _resolved_entries(graph, policy, "R202", out):
-        for owner, atom in sorted(exposed.get(fid, frozenset())):
+        pred = graph.reachable([fid])
+        for owner, atom in sorted(graph.atoms_in(pred, MUT_KINDS)):
             key = (owner, atom)
             if key in seen:
                 continue
             seen.add(key)
-            if _allowed(policy, "R202", owner):
+            fn = graph.functions[owner]
+            if (
+                fn.journal_seam
+                or fn.opens_txn
+                or fn.name == "__init__"
+                or _allowed(policy, "R202", owner)
+            ):
                 continue
-            path, qual = _owner_path(owner)
-            chain = graph.unguarded_path(fid, owner, guard_fids)
             if policy.restorable(atom):
-                coverage = "snapshot-covered, so a seam would restore it"
+                coverage = "snapshot-covered, so a pre-image would restore it"
             else:
                 coverage = (
-                    "OUTSIDE the snapshot coverage universe — no seam "
+                    "OUTSIDE the snapshot coverage universe — no journal "
                     "could restore it"
                 )
             out.append(
                 _finding(
                     "R202",
-                    path,
+                    fn.path,
                     atom.line,
-                    f"mutation {atom.kind}:{atom.detail} in {qual} is "
-                    f"reachable from batch entry point "
-                    f"{_entry_label(entry)} with no snapshot/journal "
-                    f"seam on the path {' -> '.join(chain)}; the state "
-                    f"is {coverage}",
+                    f"mutation {atom.kind}:{atom.detail} in {fn.qualname} "
+                    f"is reachable from batch entry point "
+                    f"{_entry_label(entry)} (via "
+                    f"{' -> '.join(graph.path_to(pred, owner))}) but "
+                    f"{fn.qualname} saves no pre-image to the journal; "
+                    f"the state is {coverage}",
                 )
             )
     return out

@@ -91,6 +91,14 @@ _LIST_MUTATORS = frozenset(
     {"append", "extend", "insert", "pop", "clear", "remove"}
 )
 
+#: Journal methods that save a pre-image (``record_*`` too): a call of
+#: one on ``self._journal`` / ``journal`` makes the calling function a
+#: journal seam for R202.  Other journal calls (``save_rng``) and mere
+#: references save no slot, so they do not count.
+_PREIMAGE_METHODS = frozenset(
+    {"save_slot", "save_slots", "note_free_pops", "restore"}
+)
+
 _IO_OS_FNS = frozenset(
     {"replace", "rename", "fsync", "remove", "unlink", "makedirs", "rmdir"}
 )
@@ -391,6 +399,13 @@ def _extract_function(
         )
 
 
+def _is_journal(expr: ast.expr) -> bool:
+    """``<expr>._journal`` or a local named ``journal``."""
+    return (isinstance(expr, ast.Attribute) and expr.attr == "_journal") or (
+        isinstance(expr, ast.Name) and expr.id == "journal"
+    )
+
+
 def _attr_chain(node: ast.expr) -> Optional[List[str]]:
     """``self._rng.random`` -> ``["self", "_rng", "random"]`` (None when
     the chain bottoms out in anything but a Name)."""
@@ -624,12 +639,6 @@ class _FunctionScanner:
             ):
                 for comp in node.generators:
                     self._check_set_iteration(comp.iter)
-            elif isinstance(node, ast.Attribute):
-                if node.attr == "_journal":
-                    self.journal_seam = True
-            elif isinstance(node, ast.Name):
-                if node.id == "journal":
-                    self.journal_seam = True
 
     def _check_set_iteration(self, iter_expr: ast.expr) -> None:
         if self._is_setish(iter_expr):
@@ -686,6 +695,11 @@ class _FunctionScanner:
 
         method = func.attr
         chain = _attr_chain(func)
+
+        if _is_journal(func.value) and (
+            method in _PREIMAGE_METHODS or method.startswith("record")
+        ):
+            self.journal_seam = True
 
         if (
             isinstance(func.value, ast.Call)

@@ -1,4 +1,4 @@
-"""Call-graph linking and fixpoint propagation over module summaries.
+"""Call-graph linking and reachability over module summaries.
 
 Resolution strategy (deliberately over-approximate — a missing edge
 hides a bug, a spurious edge costs at worst an allowlist entry):
@@ -18,9 +18,9 @@ hides a bug, a spurious edge costs at worst an allowlist entry):
   ``execute_batch(tree, reqs, rej, self._batch_insert_core)`` runs the
   core under ``execute_batch``'s transaction, not the caller's.
 
-Functions named ``__init__`` are *construction boundaries*: R202's
-exposure cuts there, because construction precedes the first
-transaction (the same reasoning rule R004's allowlists record).
+Functions named ``__init__`` are *construction boundaries*: R204's
+transaction region cuts there, because construction precedes the first
+transaction.
 """
 
 from __future__ import annotations
@@ -289,77 +289,6 @@ class EffectGraph:
                 if atom.kind in kinds:
                     out.append((fid, atom))
         return out
-
-    # -- R202 exposure fixpoint -----------------------------------------
-
-    def exposed_mutations(
-        self, extra_guards: FrozenSet[str]
-    ) -> Dict[str, FrozenSet[SourcedAtom]]:
-        """``exposed(f)``: mutation atoms reachable from ``f`` along some
-        call path containing **no** transaction guard.
-
-        Guards are functions that open a transaction themselves plus the
-        registered ``TXN_GUARDS``; their exposure is empty by definition
-        (everything below them runs inside the bracket).  A function's
-        *own* mutations are covered when it references the journal seam
-        (rule R004's convention) or is a construction boundary
-        (``__init__``)."""
-        guards: Set[str] = set(extra_guards)
-        for fid, fn in self.functions.items():
-            if fn.opens_txn or fn.name == "__init__":
-                guards.add(fid)
-
-        own: Dict[str, FrozenSet[SourcedAtom]] = {}
-        for fid, fn in self.functions.items():
-            if fn.journal_seam:
-                own[fid] = frozenset()
-            else:
-                own[fid] = frozenset(
-                    (fid, a) for a in fn.atoms if a.kind in MUT_KINDS
-                )
-
-        exposed: Dict[str, FrozenSet[SourcedAtom]] = {
-            fid: (frozenset() if fid in guards else own[fid])
-            for fid in self.functions
-        }
-        changed = True
-        while changed:
-            changed = False
-            for fid in self.functions:
-                if fid in guards:
-                    continue
-                acc: Set[SourcedAtom] = set(own[fid])
-                for _line, callee in self.edges.get(fid, []):
-                    if callee in guards:
-                        continue
-                    acc.update(exposed[callee])
-                frozen = frozenset(acc)
-                if frozen != exposed[fid]:
-                    exposed[fid] = frozen
-                    changed = True
-        return exposed
-
-    def unguarded_path(
-        self, entry: str, target: str, extra_guards: FrozenSet[str]
-    ) -> List[str]:
-        """A concrete guard-free call chain entry → target, for finding
-        messages (falls back to the entry alone when target == entry)."""
-        guards: Set[str] = set(extra_guards)
-        for fid, fn in self.functions.items():
-            if fn.opens_txn or fn.name == "__init__":
-                guards.add(fid)
-        pred: Dict[str, Optional[str]] = {entry: None}
-        queue = [entry]
-        while queue:
-            cur = queue.pop(0)
-            if cur == target:
-                return self.path_to(pred, cur)
-            for _line, nxt in self.edges.get(cur, []):
-                if nxt in guards or nxt in pred:
-                    continue
-                pred[nxt] = cur
-                queue.append(nxt)
-        return [self.functions[entry].qualname]
 
     # -- R204 transaction regions ---------------------------------------
 

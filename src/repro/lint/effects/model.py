@@ -171,12 +171,12 @@ class FunctionSummary:
     ``outer.<locals>.inner`` for nested defs; ``class_name`` is the
     *innermost enclosing class* ("" for plain functions), which is what
     ``self.``-call resolution dispatches on.  ``txn_line`` is the line
-    of the first ``_txn_begin``/``txn_begin`` call (0 when none):
-    functions with ``txn_line`` are *guards* for R202 and open the
-    R204 rollback-coverage region.  ``journal_seam`` mirrors rule
-    R004's convention — a body that references ``self._journal`` /
-    ``journal`` records its own pre-images, so its *own* mutations are
-    covered even outside a transaction bracket.
+    of the first ``_txn_begin``/``txn_begin`` call (0 when none): it
+    opens the R204 rollback-coverage region.  ``journal_seam`` marks a
+    body that saves a pre-image — a ``save_slot``/``save_slots``/
+    ``note_free_pops``/``record_*``/``restore`` call on
+    ``self._journal`` or ``journal`` — so R202 counts its *own*
+    mutations as journaled.
     """
 
     path: str

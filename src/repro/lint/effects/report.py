@@ -71,7 +71,6 @@ def _policy_from_config(config: LintConfig) -> EffectPolicy:
             (e.path, e.class_name, e.method, e.rules)
             for e in config.effect_entries
         ],
-        txn_guards=config.txn_guards,
         allowlist=config.effect_allowlist,
         columns=config.effect_columns,
         node_fields=config.effect_node_fields,

@@ -12,14 +12,12 @@ from typing import List
 from ..config import LintConfig
 from ..engine import Rule
 from .exports import ExportHygieneRule
-from .journal import JournalCoverageRule
 from .parity import BackendParityRule
 from .raises import BareRaiseRule
 
 __all__ = [
     "BareRaiseRule",
     "BackendParityRule",
-    "JournalCoverageRule",
     "ExportHygieneRule",
     "default_rules",
 ]
@@ -29,6 +27,5 @@ def default_rules(config: LintConfig) -> List[Rule]:
     return [
         BareRaiseRule(config),
         BackendParityRule(config),
-        JournalCoverageRule(config),
         ExportHygieneRule(config),
     ]

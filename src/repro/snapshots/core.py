@@ -47,12 +47,11 @@ Epoch tags: every capture or restore bumps ``tree._snapshot_epoch``;
 :class:`SnapshotState` carries the epoch it was cut at, so persisted
 images are ordered and a restored tree knows its lineage.
 
-Lint coverage: :data:`FLAT_SNAPSHOT_COLUMNS` and
+Coverage: :data:`FLAT_SNAPSHOT_COLUMNS` and
 :data:`REFERENCE_SNAPSHOT_FIELDS` declare exactly which columns/fields
-the snapshot path restores; the R004 snapshot-coverage lint mode
-(:mod:`repro.lint.rules.journal`) flags any structural mutation site
-touching state outside these sets — mutations a snapshot restore could
-not bring back.
+the snapshot path restores.  A tier-1 test pins them to every
+``BSTNode`` slot and every per-slot flat column, and the effects lint
+(R202/R204) uses them to say whether a mutation is restorable.
 """
 
 from __future__ import annotations
@@ -101,9 +100,8 @@ FLAT_COLUMNS = (
     "_handle",
 )
 
-#: Every flat-backend column the unified snapshot path restores.  The
-#: R004 snapshot-coverage lint mode rejects structural mutation sites
-#: that touch columns outside this set.
+#: Every flat-backend column the unified snapshot path restores (the
+#: effects lint's covered-column universe).
 FLAT_SNAPSHOT_COLUMNS = frozenset(FLAT_COLUMNS) | {"_free"}
 
 #: Every reference-backend ``BSTNode`` field the unified snapshot path

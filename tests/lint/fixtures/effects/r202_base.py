@@ -1,11 +1,11 @@
-"""R202 fixture, base half: the entry lives here and is *guarded* for
-the base implementation (the core references the journal seam), so the
+"""R202 fixture, base half: the entry lives here and the base
+implementation's core saves each pre-image before it writes, so the
 reference backend alone is clean."""
 
 
 class BaseTree:
     def __init__(self):
-        self._journal = []
+        self._journal = None
         self.left = {}
 
     def batch_link(self, edges):
@@ -13,6 +13,6 @@ class BaseTree:
 
     def _link_core(self, edges):
         for u, v in edges:
-            self._journal.append((u, self.left.get(u)))
+            self._journal.record(u, self.left.get(u))
             self.left[u] = v
         return len(edges)

@@ -1,4 +1,8 @@
-"""Planted R004 violations: interior mutations outside the journal."""
+"""Planted R202 violations: interior mutations that save no pre-image.
+
+Each method is registered as its own entry point by the fixture test.
+``reseed`` mentions the journal seam but only saves the RNG, so its
+column store is as unjournaled as ``splice``'s."""
 
 __all__ = ["Tree"]
 
@@ -20,6 +24,10 @@ class Tree:
     def relink(self, node, child):  # planted: unjournaled node store
         node.left = child
 
-    def guarded(self, a, b):  # clean: references the journal seam
+    def guarded(self, a, b):  # clean: saves the pre-image first
         self._journal.record(a)
         self._left[a] = b
+
+    def reseed(self, i):  # planted: save_rng saves no slot
+        self._journal.save_rng(self)
+        self._left[i] = -1

@@ -1,6 +1,7 @@
-"""Planted R004 violations for the module-scan / any-receiver mode:
-resilience-style repair helpers that rewrite another object's backend
-cells outside any journal."""
+"""Planted R202 violations: resilience-style repair helpers that
+rewrite another object's backend cells without saving a pre-image.
+The ``good_*`` twins save one (``journal.save_slot``) or open a
+transaction (``tree._txn_begin``)."""
 
 __all__ = ["bad_recompute", "good_recompute", "Repairer"]
 
@@ -9,7 +10,7 @@ def bad_recompute(tree, node, value):  # planted: unjournaled column store
     tree._n_leaves[node] = value
 
 
-def good_recompute(tree, journal, node, value):  # clean: journal seam
+def good_recompute(tree, journal, node, value):  # clean: saves the pre-image
     journal.save_slot(tree, node)
     tree._n_leaves[node] = value
 
@@ -18,7 +19,7 @@ class Repairer:
     def bad_relink(self, child, grandparent):  # planted: node store
         child.parent = grandparent
 
-    def good_relink(self, tree, child, grandparent):  # clean: journal seam
+    def good_relink(self, tree, child, grandparent):  # clean: opens a txn
         journal = tree._txn_begin()
         child.parent = grandparent
         tree._txn_commit(journal)

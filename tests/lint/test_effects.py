@@ -49,7 +49,6 @@ def _fixture_config(**overrides) -> LintConfig:
                 ("R201",),
             ),
         ),
-        txn_guards={},
         effect_allowlist={},
         effect_columns=frozenset({"parent", "left"}),
         effect_node_fields=frozenset(),
@@ -188,6 +187,98 @@ def test_r202_violation_across_subclass_boundary():
 def test_r202_guarded_base_is_silent():
     report = _run_fixtures()
     assert not [f for f in report.findings if f.path == "r202_base.py"]
+
+
+# ---------------------------------------------------------------------------
+# R202 asks each mutating function for its pre-image
+# ---------------------------------------------------------------------------
+
+
+def _r202_methods(path, cls, *methods):
+    return tuple(EffectEntry(path, cls, m, ("R202",)) for m in methods)
+
+
+def _r202_hits(entries, **overrides):
+    report = _run_fixtures(
+        effect_entries=entries,
+        effect_columns=frozenset({"_left", "_right", "_n_leaves"}),
+        effect_node_fields=frozenset({"left", "parent"}),
+        **overrides,
+    )
+    return _by_rule(report, "R202")
+
+
+def _owners(hits):
+    return sorted({f.message.split(" in ")[1].split(" ")[0] for f in hits})
+
+
+def test_r202_flags_unjournaled_mutations():
+    """Every store in a function that saves no pre-image is a finding,
+    including ``reseed``, whose only journal call is ``save_rng``;
+    ``guarded`` records first and stays silent."""
+    hits = _r202_hits(
+        _r202_methods(
+            "r202_journal_bad.py", "Tree",
+            "splice", "grow", "relink", "guarded", "reseed",
+        ),
+    )
+    assert _owners(hits) == [
+        "Tree.grow", "Tree.relink", "Tree.reseed", "Tree.splice",
+    ], [str(f) for f in hits]
+    assert all("saves no pre-image" in f.message for f in hits)
+    assert all("snapshot-covered" in f.message for f in hits)
+
+
+def test_r202_flags_repair_helpers_on_another_objects_cells():
+    """Module functions and methods that rewrite another object's cells
+    are asked the same question; the twins that save a pre-image or
+    open a transaction are silent."""
+    hits = _r202_hits(
+        _r202_methods(
+            "r202_scrub_bad.py", "", "bad_recompute", "good_recompute"
+        )
+        + _r202_methods(
+            "r202_scrub_bad.py", "Repairer", "bad_relink", "good_relink"
+        ),
+    )
+    assert _owners(hits) == ["Repairer.bad_relink", "bad_recompute"], [
+        str(f) for f in hits
+    ]
+
+
+def test_r202_says_whether_a_pre_image_could_restore_the_state():
+    hits = _r202_hits(
+        _r202_methods(
+            "r202_snapshot_bad.py", "Tree",
+            "relink", "paint", "shade", "demote",
+        ),
+    )
+    assert _owners(hits) == ["Tree.paint", "Tree.relink", "Tree.shade"]
+    for f in hits:
+        covered = "mut-col:_left" in f.message
+        assert ("snapshot-covered" in f.message) == covered
+        assert ("OUTSIDE the snapshot coverage universe" in f.message) == (
+            not covered
+        )
+
+
+def test_r202_allowlist_silences_planted_owners():
+    journal = ("splice", "grow", "relink", "reseed")
+    snapshot = ("relink", "paint", "shade")
+    allow = {f"r202_journal_bad.py::Tree.{m}": "test" for m in journal}
+    allow.update(
+        {f"r202_snapshot_bad.py::Tree.{m}": "test" for m in snapshot}
+    )
+    allow["r202_scrub_bad.py::bad_recompute"] = "test"
+    allow["r202_scrub_bad.py::Repairer.bad_relink"] = "test"
+    hits = _r202_hits(
+        _r202_methods("r202_journal_bad.py", "Tree", *journal)
+        + _r202_methods("r202_snapshot_bad.py", "Tree", *snapshot)
+        + _r202_methods("r202_scrub_bad.py", "", "bad_recompute")
+        + _r202_methods("r202_scrub_bad.py", "Repairer", "bad_relink"),
+        effect_allowlist={"R202": allow},
+    )
+    assert not hits, [str(f) for f in hits]
 
 
 def test_r204_txn_region_uncovered_mutation():
@@ -400,7 +491,7 @@ def test_extract_txn_line_and_journal_seam():
     src = (
         "class T:\n"
         "    def g(self):\n"
-        "        self._journal.append(1)\n"
+        "        self._journal.save_slot(self, 1)\n"
         "        self._x = 2\n"
         "    def h(self):\n"
         "        self._txn_begin()\n"
@@ -411,6 +502,29 @@ def test_extract_txn_line_and_journal_seam():
     assert not _fn(mod, "T.g").opens_txn
     assert _fn(mod, "T.h").opens_txn
     assert _fn(mod, "T.h").txn_line == 6
+
+
+def test_extract_journal_seam_needs_a_pre_image_call():
+    """Only a call that saves a pre-image makes a journal seam; saving
+    the RNG or merely naming the journal does not."""
+    src = (
+        "class T:\n"
+        "    def rng_only(self, i):\n"
+        "        self._journal.save_rng(self)\n"
+        "        self._left[i] = 0\n"
+        "    def named(self, journal, i):\n"
+        "        pre = journal.saved[i]\n"
+        "        self._left[i] = pre\n"
+        "    def slot(self, journal, i):\n"
+        "        journal.save_slot(self, i)\n"
+        "    def meta(self, n):\n"
+        "        self._journal.record_meta([n])\n"
+    )
+    mod = extract_module("m.py", src, _SPEC)
+    assert not _fn(mod, "T.rng_only").journal_seam
+    assert not _fn(mod, "T.named").journal_seam
+    assert _fn(mod, "T.slot").journal_seam
+    assert _fn(mod, "T.meta").journal_seam
 
 
 def test_graph_self_dispatch_includes_subclass_override():

@@ -2,8 +2,8 @@
 the full default rule set.
 
 This is the tier-1 enforcement of every site rule at once — a new bare
-raise, parity drift, unjournaled splice or missing ``__all__`` anywhere
-in the library fails this test with the exact file:line finding in the
+raise, parity drift or missing ``__all__`` anywhere in the library
+fails this test with the exact file:line finding in the
 assertion message.
 """
 
@@ -27,4 +27,4 @@ def test_src_repro_is_lint_clean():
 
 def test_default_rule_ids_are_stable():
     ids = [rule.id for rule in default_rules(REPO_CONFIG)]
-    assert ids == ["R001", "R003", "R004", "R005"]
+    assert ids == ["R001", "R003", "R005"]

@@ -8,19 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.config import (
-    JournalSpec,
-    LintConfig,
-    ParityPair,
-    REPO_CONFIG,
-    SnapshotSpec,
-)
+from repro.lint.config import LintConfig, ParityPair, REPO_CONFIG
 from repro.lint.engine import SCHEMA, run_lint
 from repro.lint.rules import (
     BackendParityRule,
     BareRaiseRule,
     ExportHygieneRule,
-    JournalCoverageRule,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -169,190 +162,6 @@ def test_r003_repo_contraction_pair_registered():
         [BackendParityRule(REPO_CONFIG)],
     )
     assert report.clean, [f.message for f in report.findings]
-
-
-# ---------------------------------------------------------------------------
-# R004 — journal / crash-point coverage
-# ---------------------------------------------------------------------------
-
-_JOURNAL_CONFIG = LintConfig(
-    journal_specs=(
-        JournalSpec(
-            path="journal_bad.py",
-            class_name="Tree",
-            node_fields=frozenset({"left"}),
-            columns=frozenset({"_left", "_right"}),
-            allowlist={"__init__": "test: construction"},
-        ),
-    )
-)
-
-
-def test_r004_flags_unjournaled_mutations():
-    report = _run(["journal_bad.py"], [JournalCoverageRule(_JOURNAL_CONFIG)])
-    flagged = sorted(
-        f.message.split(" ")[0] for f in report.findings
-    )
-    assert flagged == ["Tree.grow", "Tree.relink", "Tree.splice"], [
-        str(f) for f in report.findings
-    ]
-    # `guarded` references self._journal and stays clean.
-    assert all("guarded" not in f.message for f in report.findings)
-
-
-def test_r004_module_scan_flags_resilience_style_mutations():
-    """``class_name=None`` + ``any_receiver`` covers module-level repair
-    helpers that rewrite *another object's* backend cells (the
-    resilience scrub/restore sites)."""
-    config = LintConfig(
-        journal_specs=(
-            JournalSpec(
-                path="scrub_bad.py",
-                class_name=None,
-                node_fields=frozenset({"parent"}),
-                columns=frozenset({"_n_leaves"}),
-                any_receiver=True,
-            ),
-        )
-    )
-    report = _run(["scrub_bad.py"], [JournalCoverageRule(config)])
-    flagged = sorted(f.message.split(" ")[0] for f in report.findings)
-    assert flagged == [
-        "scrub_bad.py.Repairer.bad_relink",
-        "scrub_bad.py.bad_recompute",
-    ], [str(f) for f in report.findings]
-    # Both good_* variants reference the journal seam and stay clean.
-    assert all("good_" not in f.message for f in report.findings)
-
-
-def test_r004_module_scan_allowlist():
-    config = LintConfig(
-        journal_specs=(
-            JournalSpec(
-                path="scrub_bad.py",
-                class_name=None,
-                node_fields=frozenset({"parent"}),
-                columns=frozenset({"_n_leaves"}),
-                any_receiver=True,
-                allowlist={
-                    "bad_recompute": "test",
-                    "Repairer.bad_relink": "test",
-                },
-            ),
-        )
-    )
-    report = _run(["scrub_bad.py"], [JournalCoverageRule(config)])
-    assert report.clean, [str(f) for f in report.findings]
-
-
-def test_r004_allowlist_silences_with_justification():
-    config = LintConfig(
-        journal_specs=(
-            JournalSpec(
-                path="journal_bad.py",
-                class_name="Tree",
-                node_fields=frozenset({"left"}),
-                columns=frozenset({"_left", "_right"}),
-                allowlist={
-                    "__init__": "test",
-                    "splice": "test",
-                    "grow": "test",
-                    "relink": "test",
-                },
-            ),
-        )
-    )
-    report = _run(["journal_bad.py"], [JournalCoverageRule(config)])
-    assert report.clean
-
-
-# ---------------------------------------------------------------------------
-# R004 — snapshot-coverage mode
-# ---------------------------------------------------------------------------
-
-_SNAPSHOT_SPEC = SnapshotSpec(
-    path="snapshot_bad.py",
-    class_name="Tree",
-    columns=frozenset({"_left"}),
-    node_class=("snapshot_bad.py", "Node"),
-    covered_fields=frozenset({"left", "right"}),
-)
-
-
-def test_r004_snapshot_mode_flags_uncovered_mutations():
-    config = LintConfig(journal_specs=(), snapshot_specs=(_SNAPSHOT_SPEC,))
-    report = _run(["snapshot_bad.py"], [JournalCoverageRule(config)])
-    flagged = sorted(f.message.split(" ")[0] for f in report.findings)
-    assert flagged == ["Tree.demote", "Tree.paint", "Tree.shade"], [
-        str(f) for f in report.findings
-    ]
-    joined = " ".join(f.message for f in report.findings)
-    assert "self._color" in joined
-    assert "uncovered node field .color" in joined
-    # `relink` mutates a covered column and stays clean.
-    assert "relink" not in joined
-
-
-def test_r004_snapshot_mode_allowlist():
-    spec = SnapshotSpec(
-        path=_SNAPSHOT_SPEC.path,
-        class_name=_SNAPSHOT_SPEC.class_name,
-        columns=_SNAPSHOT_SPEC.columns,
-        node_class=_SNAPSHOT_SPEC.node_class,
-        covered_fields=_SNAPSHOT_SPEC.covered_fields,
-        allowlist={"paint": "test", "shade": "test", "demote": "test"},
-    )
-    config = LintConfig(journal_specs=(), snapshot_specs=(spec,))
-    report = _run(["snapshot_bad.py"], [JournalCoverageRule(config)])
-    assert report.clean, [str(f) for f in report.findings]
-
-
-def test_r004_snapshot_registry_cross_check():
-    """A crash-hooked class with neither a SnapshotSpec nor an exemption
-    is flagged; the exemption registry silences it."""
-    config = LintConfig(
-        journal_specs=(),
-        snapshot_specs=(_SNAPSHOT_SPEC,),
-        snapshot_exempt=frozenset(),
-        crash_points_path="crashes_registry.py",
-    )
-    report = _run(
-        ["snapshot_bad.py", "crashes_registry.py"],
-        [JournalCoverageRule(config)],
-    )
-    orphan = [f for f in report.findings if "Orphan" in f.message]
-    assert len(orphan) == 1, [str(f) for f in report.findings]
-    assert "no SnapshotSpec covers it" in orphan[0].message
-
-    exempt = LintConfig(
-        journal_specs=(),
-        snapshot_specs=(_SNAPSHOT_SPEC,),
-        snapshot_exempt=frozenset({"Orphan"}),
-        crash_points_path="crashes_registry.py",
-    )
-    report = _run(
-        ["snapshot_bad.py", "crashes_registry.py"],
-        [JournalCoverageRule(exempt)],
-    )
-    assert all("Orphan" not in f.message for f in report.findings)
-
-
-def test_r004_repo_snapshot_specs_mirror_coverage_constants():
-    """The repo-level specs must stay literally the sets the snapshot
-    layer restores — coverage and lint cannot drift apart."""
-    from repro.snapshots.core import (
-        FLAT_SNAPSHOT_COLUMNS,
-        REFERENCE_SNAPSHOT_FIELDS,
-    )
-
-    specs = {s.class_name: s for s in REPO_CONFIG.snapshot_specs}
-    assert specs["FlatRBSTS"].columns == FLAT_SNAPSHOT_COLUMNS
-    assert specs["RBSTS"].covered_fields == REFERENCE_SNAPSHOT_FIELDS
-    assert specs["RBSTS"].node_class == (
-        "src/repro/splitting/node.py",
-        "BSTNode",
-    )
-    assert "SnapshotIO" in REPO_CONFIG.snapshot_exempt
 
 
 # ---------------------------------------------------------------------------

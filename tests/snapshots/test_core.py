@@ -7,8 +7,11 @@ from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
 from repro.errors import SnapshotStateError
 from repro.listprefix.structure import IncrementalListPrefix
+from repro.perf.flat_rbsts import FlatRBSTS
 from repro.snapshots.core import (
     FLAT_COLUMNS,
+    FLAT_SNAPSHOT_COLUMNS,
+    REFERENCE_SNAPSHOT_FIELDS,
     SnapshotState,
     capture,
     restore,
@@ -16,6 +19,7 @@ from repro.snapshots.core import (
     txn_rollback,
 )
 from repro.snapshots.fuzz import states_equal
+from repro.splitting.node import BSTNode
 from repro.testing.oracles import shape_signature
 
 MONOID = sum_monoid(INTEGER)
@@ -124,6 +128,21 @@ def test_reference_state_columns_match_flat_schema():
     state = capture(make("reference").tree)
     assert set(state.columns) == set(FLAT_COLUMNS) | {"_nid"}
     assert state.next_id is not None
+
+
+def test_coverage_constants_name_every_node_slot_and_flat_column():
+    """A restore brings back exactly the declared fields and columns, so
+    a new ``BSTNode`` slot or per-slot flat column must join them; the
+    lint pass only ever sees stores to state in these sets."""
+    tree = FlatRBSTS(range(8), seed=1)
+    slab = tree.slab_size
+    per_slot = {
+        name
+        for name, value in vars(tree).items()
+        if isinstance(value, list) and len(value) == slab
+    }
+    assert frozenset(BSTNode.__slots__) == REFERENCE_SNAPSHOT_FIELDS
+    assert per_slot and per_slot <= FLAT_SNAPSHOT_COLUMNS
 
 
 # ---------------------------------------------------------------------------
