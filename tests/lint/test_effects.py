@@ -262,23 +262,34 @@ def test_r202_says_whether_a_pre_image_could_restore_the_state():
         )
 
 
-def test_r202_allowlist_silences_planted_owners():
-    journal = ("splice", "grow", "relink", "reseed")
-    snapshot = ("relink", "paint", "shade")
-    allow = {f"r202_journal_bad.py::Tree.{m}": "test" for m in journal}
-    allow.update(
-        {f"r202_snapshot_bad.py::Tree.{m}": "test" for m in snapshot}
-    )
-    allow["r202_scrub_bad.py::bad_recompute"] = "test"
-    allow["r202_scrub_bad.py::Repairer.bad_relink"] = "test"
+def _assert_allowlist_silences(path, cls, methods):
+    allow = {
+        f"{path}::{cls + '.' if cls else ''}{m}": "test" for m in methods
+    }
     hits = _r202_hits(
-        _r202_methods("r202_journal_bad.py", "Tree", *journal)
-        + _r202_methods("r202_snapshot_bad.py", "Tree", *snapshot)
-        + _r202_methods("r202_scrub_bad.py", "", "bad_recompute")
-        + _r202_methods("r202_scrub_bad.py", "Repairer", "bad_relink"),
+        _r202_methods(path, cls, *methods),
         effect_allowlist={"R202": allow},
     )
     assert not hits, [str(f) for f in hits]
+
+
+def test_r202_allowlist_silences_journal_owners():
+    _assert_allowlist_silences(
+        "r202_journal_bad.py", "Tree", ("splice", "grow", "relink", "reseed")
+    )
+
+
+def test_r202_allowlist_silences_repair_helpers():
+    _assert_allowlist_silences("r202_scrub_bad.py", "", ("bad_recompute",))
+    _assert_allowlist_silences(
+        "r202_scrub_bad.py", "Repairer", ("bad_relink",)
+    )
+
+
+def test_r202_allowlist_silences_snapshot_owners():
+    _assert_allowlist_silences(
+        "r202_snapshot_bad.py", "Tree", ("relink", "paint", "shade")
+    )
 
 
 def test_r204_txn_region_uncovered_mutation():
