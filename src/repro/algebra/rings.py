@@ -16,8 +16,8 @@ per the HPC guides' "avoid needless wrappers in inner loops" advice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Optional
 
 from ..errors import InvalidParameterError
 
@@ -47,6 +47,13 @@ class Ring:
     eq:
         Equality predicate on elements (defaults to ``==``; overridden
         for floats to use a tolerance).
+    modulus:
+        ``p`` for a ring built by :func:`modular_ring`, else ``None``.
+        It is not a constructor argument: only :func:`modular_ring`
+        sets it, next to the ``add``/``mul`` it describes, so no ring
+        can claim a modulus its operations do not implement.  The
+        label row kernel (:func:`~repro.contraction.labels.relabel_rows`)
+        reads it to run native ``Z/p`` arithmetic.
     """
 
     name: str
@@ -55,6 +62,9 @@ class Ring:
     add: Callable[[Any, Any], Any]
     mul: Callable[[Any, Any], Any]
     eq: Callable[[Any, Any], bool] = lambda a, b: a == b
+    modulus: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Ring({self.name})"
@@ -104,13 +114,15 @@ def modular_ring(p: int) -> Ring:
     """The ring of integers modulo ``p`` (``p >= 2``)."""
     if p < 2:
         raise InvalidParameterError(f"modulus must be >= 2, got {p}")
-    return Ring(
+    ring = Ring(
         f"Z/{p}",
         0,
         1 % p,
         lambda a, b: (a + b) % p,
         lambda a, b: (a * b) % p,
     )
+    object.__setattr__(ring, "modulus", p)
+    return ring
 
 
 _INF = float("inf")

@@ -58,10 +58,6 @@ __all__ = [
     "SnapshotChecksumError",
     "SnapshotStateError",
     "ServeError",
-    "DeadlineExceededError",
-    "ShardOverloadError",
-    "CircuitOpenError",
-    "QuarantineBudgetError",
     "PoisonedPayloadError",
     "STRUCTURE_REASONS",
     "HANDLE_REASONS",
@@ -330,38 +326,9 @@ class SnapshotStateError(SnapshotError):
 
 
 class ServeError(ReproError):
-    """Base class for errors raised by the batch-serving layer
-    (:mod:`repro.serve`): sharding, batch windows, overload protection
-    and quarantine."""
-
-
-class DeadlineExceededError(ServeError, TimeoutError):
-    """A request's deadline passed before (or while) its batch window
-    executed.  Normal overload outcomes are reported as ``"timeout"``
-    response statuses, not raises; this class exists for callers that
-    opt into raising semantics and for the internal budget guard.
-    Subclasses ``TimeoutError`` so host-level timeout handling
-    composes."""
-
-
-class ShardOverloadError(ServeError):
-    """A shard's bounded queue is at capacity and the seeded shedding
-    policy dropped the request.  Reported as a ``"shed"`` response
-    status on the normal path; raised only by raising-mode entry
-    points."""
-
-
-class CircuitOpenError(ServeError):
-    """The shard's circuit breaker is open: repeated batch failures
-    tripped it, and the backoff interval has not yet elapsed.  Reported
-    as a ``"circuit-open"`` response status on the normal path."""
-
-
-class QuarantineBudgetError(ServeError):
-    """Poisoned-batch bisection exhausted its probe budget before
-    isolating the offending requests.  The shard falls back to
-    quarantining the whole unresolved remainder (safe: nothing from it
-    is committed), and this error records why."""
+    """Base class for errors of the batch-serving layer
+    (:mod:`repro.serve`).  Shedding, deadlines, an open breaker and
+    quarantine are reported as response statuses, not raised."""
 
 
 class PoisonedPayloadError(ReproError, ArithmeticError):

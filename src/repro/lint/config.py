@@ -251,9 +251,10 @@ EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
 
 #: PRAM simulation state is per-attempt scratch: pram_sum constructs a
 #: fresh FaultyMachine inside each supervised attempt, so a rolled-back
-#: attempt discards the whole machine and the retry rebuilds it.  No
-#: pre-image exists to restore (R202) and nothing inside a transaction
-#: region outlives the attempt (R204).
+#: attempt discards the whole machine and the retry rebuilds it.
+#: Nothing inside a transaction region outlives the attempt (R204); no
+#: batch entry hands the supervised sum to the executor, so R202 never
+#: reaches it.
 _PER_ATTEMPT_MACHINE: Dict[str, str] = {
     "src/repro/pram/machine.py::Machine.spawn": (
         "mutates the process table of a machine constructed inside "
@@ -311,7 +312,6 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
         ),
         "src/repro/resilience/faults.py::_corrupt_flat": _ATTACKER,
         "src/repro/resilience/faults.py::_corrupt_reference": _ATTACKER,
-        **_PER_ATTEMPT_MACHINE,
     },
     "R204": {
         "src/repro/resilience/executor.py::ResilientExecutor._heal": (

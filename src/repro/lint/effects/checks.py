@@ -19,9 +19,10 @@
   message says whether the state is even restorable.
 * **R204** — transaction discipline: (a) mutations inside a
   ``txn_begin``…commit bracket that target state outside the snapshot
-  coverage universe (rollback would silently lose them); (b) ``except``
-  handlers broad enough to swallow the ``ReproError`` taxonomy without
-  re-raising.
+  coverage universe (rollback would silently lose them), unless R202
+  already reports the same store, whose message says as much; (b)
+  ``except`` handlers broad enough to swallow the ``ReproError``
+  taxonomy without re-raising.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from ..engine import Finding
-from .graph import EffectGraph
+from .graph import EffectGraph, SourcedAtom
 from .model import (
     KIND_GLOBAL_RNG,
     KIND_MUT_COL,
@@ -72,10 +73,10 @@ def run_checks(
     modules: Mapping[str, ModuleSummary],
     policy: EffectPolicy,
 ) -> List[Finding]:
-    findings: List[Finding] = []
-    findings.extend(_check_r201(graph, policy))
-    findings.extend(_check_r202(graph, policy))
-    findings.extend(_check_r204(graph, policy))
+    r202, reported = _check_r202(graph, policy)
+    findings: List[Finding] = _check_r201(graph, policy)
+    findings.extend(r202)
+    findings.extend(_check_r204(graph, policy, reported))
     kept: List[Finding] = []
     for f in findings:
         mod = modules.get(f.path)
@@ -201,9 +202,11 @@ def _check_r201(
 
 def _check_r202(
     graph: EffectGraph, policy: EffectPolicy
-) -> List[Finding]:
+) -> Tuple[List[Finding], Set[SourcedAtom]]:
+    """R202 findings and the ``(owner, atom)`` stores they report."""
     out: List[Finding] = []
-    seen: Set[Tuple[str, Atom]] = set()
+    reported: Set[SourcedAtom] = set()
+    seen: Set[SourcedAtom] = set()
     for entry, fid in _resolved_entries(graph, policy, "R202", out):
         pred = graph.reachable([fid])
         for owner, atom in sorted(graph.atoms_in(pred, MUT_KINDS)):
@@ -226,6 +229,7 @@ def _check_r202(
                     "OUTSIDE the snapshot coverage universe — no journal "
                     "could restore it"
                 )
+            reported.add(key)
             out.append(
                 _finding(
                     "R202",
@@ -239,7 +243,7 @@ def _check_r202(
                     f"the state is {coverage}",
                 )
             )
-    return out
+    return out, reported
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +252,20 @@ def _check_r202(
 
 
 def _check_r204(
-    graph: EffectGraph, policy: EffectPolicy
+    graph: EffectGraph,
+    policy: EffectPolicy,
+    reported: Set[SourcedAtom],
 ) -> List[Finding]:
     out: List[Finding] = []
-    # (a) rollback coverage of txn regions.
+    # (a) rollback coverage of txn regions; a store R202 reports
+    # (``reported``) is one defect with one finding.
     for fid, fn in sorted(graph.functions.items()):
         if not fn.opens_txn:
             continue
         for owner, atom in graph.txn_region_atoms(fid):
             if atom.kind not in MUT_KINDS or policy.restorable(atom):
+                continue
+            if (owner, atom) in reported:
                 continue
             if _allowed(policy, "R204", owner):
                 continue

@@ -13,10 +13,12 @@ hides a bug, a spurious edge costs at worst an allowlist entry):
   the ``tree: Any`` seams (transactions, resilience, snapshots) make
   this the only sound choice.
 * a function reference passed **as an argument** attaches as an edge
-  from the *resolved callee* (line 0 = "runs somewhere inside the
-  callee"), falling back to the caller when the callee is unknown:
-  ``execute_batch(tree, reqs, rej, self._batch_insert_core)`` runs the
-  core under ``execute_batch``'s transaction, not the caller's.
+  from the *caller that passes it*, at the call's line: in
+  ``execute_batch(tree, reqs, rej, self._batch_insert_core)`` the core
+  runs only for the entries that hand it over.  An edge from the
+  shared callee instead would let every caller of ``execute_batch``
+  reach every other backend's batch core, and findings would name
+  paths that cannot run.
 
 Functions named ``__init__`` are *construction boundaries*: R204's
 transaction region cuts there, because construction precedes the first
@@ -61,8 +63,16 @@ class EffectGraph:
         self._classes: Dict[str, List[Tuple[str, Tuple[str, ...]]]] = {}
         #: class name -> frozenset of class names (inheritance component).
         self._component: Dict[str, FrozenSet[str]] = {}
-        #: fid -> [(call line, callee fid)]; line 0 = callback edge.
+        #: fid -> [(call line, callee fid)]; a callback handed to a
+        #: callee that resolves to nothing runs at the call, so it is an
+        #: edge here too.
         self.edges: Dict[str, List[Tuple[int, str]]] = {}
+        #: fid -> [(call line, callback fid)] it hands to a resolved
+        #: callee: reachable through the caller that passes it.
+        self.handed: Dict[str, List[Tuple[int, str]]] = {}
+        #: callee fid -> callback fids any caller hands it: they run
+        #: somewhere inside the callee, so inside its transaction.
+        self.runs: Dict[str, List[str]] = {}
 
         self._index()
         self._link()
@@ -202,34 +212,27 @@ class EffectGraph:
     # -- linking --------------------------------------------------------
 
     def _link(self) -> None:
+        for fid in self.functions:
+            self.edges[fid] = []
+            self.handed[fid] = []
+            self.runs[fid] = []
         for fn in self.functions.values():
-            self.edges.setdefault(fn.fid, [])
-        for fn in self.functions.values():
-            out = self.edges[fn.fid]
+            out, handed = self.edges[fn.fid], self.handed[fn.fid]
             for call in fn.calls:
                 targets = self.resolve(fn, call)
                 for t in targets:
                     out.append((call.line, t))
-                cb_targets: List[str] = []
                 for hint in call.callbacks:
-                    cb_targets.extend(self._resolve_hint(fn, hint))
-                if not cb_targets:
-                    continue
-                if targets:
-                    for t in targets:
-                        for cb in cb_targets:
-                            self.edges[t].append((0, cb))
-                else:
-                    for cb in cb_targets:
-                        out.append((call.line, cb))
-        for fid, out in self.edges.items():
-            seen: Set[Tuple[int, str]] = set()
-            unique: List[Tuple[int, str]] = []
-            for edge in out:
-                if edge not in seen:
-                    seen.add(edge)
-                    unique.append(edge)
-            self.edges[fid] = unique
+                    for cb in self._resolve_hint(fn, hint):
+                        if not targets:
+                            out.append((call.line, cb))
+                            continue
+                        handed.append((call.line, cb))
+                        for t in targets:
+                            self.runs[t].append(cb)
+        for table in (self.edges, self.handed, self.runs):
+            for fid, items in table.items():
+                table[fid] = list(dict.fromkeys(items))
 
     # -- entry lookup ---------------------------------------------------
 
@@ -260,7 +263,7 @@ class EffectGraph:
                 queue.append(r)
         while queue:
             cur = queue.pop(0)
-            for _line, nxt in self.edges.get(cur, []):
+            for _line, nxt in self.edges[cur] + self.handed[cur]:
                 if nxt not in pred:
                     pred[nxt] = cur
                     queue.append(nxt)
@@ -295,10 +298,10 @@ class EffectGraph:
     def txn_region_atoms(self, fid: str) -> List[SourcedAtom]:
         """Mutation atoms inside ``fid``'s transaction bracket: its own
         stores after the ``txn_begin`` call, plus the full mutation
-        closure of callees invoked after it (callback edges always
-        count — they run somewhere inside the callee).  The closure cuts
-        at nested transaction openers: their own bracket owns their
-        coverage."""
+        closure of callees invoked after it and of the callbacks any
+        caller hands to ``fid`` or to a callee in the closure (they run
+        somewhere inside it).  The closure cuts at nested transaction
+        openers: their own bracket owns their coverage."""
         fn = self.functions[fid]
         if not fn.opens_txn:
             return []
@@ -309,9 +312,9 @@ class EffectGraph:
         ]
         roots: List[str] = [
             callee
-            for line, callee in self.edges.get(fid, [])
-            if (line == 0 or line > fn.txn_line) and callee != fid
-        ]
+            for line, callee in self.edges[fid]
+            if line > fn.txn_line and callee != fid
+        ] + self.runs[fid]
         seen: Set[str] = {fid}
         queue = list(roots)
         while queue:
@@ -327,9 +330,10 @@ class EffectGraph:
             for atom in sub.atoms:
                 if atom.kind in MUT_KINDS:
                     out.append((cur, atom))
-            for _line, nxt in self.edges.get(cur, []):
+            for _line, nxt in self.edges[cur]:
                 if nxt not in seen:
                     queue.append(nxt)
+            queue.extend(cb for cb in self.runs[cur] if cb not in seen)
         return out
 
 

@@ -110,9 +110,9 @@ class CallDesc:
 
     ``callbacks`` are ``(kind, name)`` hints for function references
     passed *as arguments* (``self.m`` / a local ``def``): the linker
-    attaches them as edges from the **resolved callee** — a callback run
-    inside ``execute_batch`` executes under *its* transaction, not the
-    caller's.
+    reaches them through the caller that passes them, so a callback is
+    reached only through the entries that hand it over; R204's
+    transaction regions count them as running inside the callee.
     """
 
     kind: str

@@ -84,7 +84,9 @@ def _function_record(
     return {
         "line": fn.lineno,
         "atoms": [a.to_json() for a in fn.atoms],
-        "calls": sorted({callee for _ln, callee in graph.edges.get(fid, [])}),
+        "calls": sorted(
+            {callee for _ln, callee in graph.edges[fid] + graph.handed[fid]}
+        ),
         "opens_txn": fn.opens_txn,
         "journal_seam": fn.journal_seam,
     }

@@ -17,10 +17,11 @@ cores.  This package holds those cores:
 * :mod:`~repro.perf.flat_contraction` — ``FlatContraction``, the rake
   tree of §4.2 over parallel label/topology columns with memoised
   replay; heal and replay evaluate labels in one pass in creation
-  order.  Selected via ``DynamicTreeContraction(tree, backend="flat")``.
-* :mod:`~repro.perf.kernels` — column forms of the §4.2 label rules,
-  called by no library code; kept only for the benchmark tracer, which
-  wraps them by name.
+  order with :func:`~repro.contraction.labels.relabel_rows`.  Selected
+  via ``DynamicTreeContraction(tree, backend="flat")``.
+* :mod:`~repro.perf.kernels` — column forms of the §4.2 label rules
+  over the scalar rules, called by no library code; kept only for the
+  benchmark tracer, which wraps them by name.
 
 Every flat core is pinned op-for-op against its reference twin by the
 differential harness in ``tests/perf/`` — same seeds, same shapes, same

@@ -30,7 +30,9 @@ the memo rule would have reused, so fresh rows, rid stamps, rounds and
 records match a full replay.  Labels of the fresh rows are evaluated
 afterwards in one pass in creation order: ``_rid`` is a topological
 stamp (every composite row is stamped after both of its children), so
-one loop applies each label rule inline from settled inputs.
+the label row kernel :func:`~repro.contraction.labels.relabel_rows`
+(the one home of the §4.2 rules for these columns, shared with
+:meth:`FlatContraction.heal`) applies each rule from settled inputs.
 
 Rows no replay can reach any more are reclaimed by an occasional
 mark-sweep over the slab (roots: current base rows, current event
@@ -54,6 +56,13 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.rings import Ring
+from ..contraction.labels import (
+    ROW_COMPRESS,
+    ROW_INIT,
+    ROW_LEAF,
+    ROW_RAKE,
+    relabel_rows,
+)
 from ..errors import TreeStructureError
 from ..pram.frames import SpanTracker
 from ..trees.expr import ExprTree
@@ -61,8 +70,8 @@ from ..trees.nodes import Op
 
 __all__ = ["FlatContraction"]
 
-# Row kinds (column ``_kind``).
-_LEAF, _INIT, _RAKE, _COMPRESS = 0, 1, 2, 3
+# Row kinds (column ``_kind``), the format the label row kernel reads.
+_LEAF, _INIT, _RAKE, _COMPRESS = ROW_LEAF, ROW_INIT, ROW_RAKE, ROW_COMPRESS
 
 #: Slab occupancy (rows in use vs. a linear bound on the live rake
 #: tree: this many rows per live T node) above which replay finishes
@@ -257,13 +266,17 @@ class FlatContraction:
         on one CPU any topological order yields the same labels.
         Returns the wound size ``|RT(W)|``."""
         rparent = self._rparent
-        seen: Dict[int, bool] = {}
+        seen: Set[int] = set()
+        mark = seen.add
         for row in tokens:
             while row >= 0 and row not in seen:
-                seen[row] = True
+                mark(row)
                 row = rparent[row]
         wound = sorted(seen, key=self._rid.__getitem__)
-        self._relabel(wound)
+        relabel_rows(
+            self.ring, wound, self._kind, self._lchild, self._rchild,
+            self._labA, self._labB, self._op,
+        )
         if tracker is not None:
             k = len(wound) + 1
             tracker.charge(
@@ -931,7 +944,10 @@ class FlatContraction:
         self._rparent[root] = -1
         self.next_rid = next_rid
         self.fresh_nodes = fresh
-        self._relabel(fresh_rows)
+        relabel_rows(
+            self.ring, fresh_rows, self._kind, self._lchild, self._rchild,
+            self._labA, self._labB, self._op,
+        )
         in_use = len(self._kind) - len(self._free)
         if in_use > _GC_FACTOR * max(64, n_live):
             self._sweep()
@@ -998,37 +1014,6 @@ class FlatContraction:
         for u, key in enumerate(ev_key):
             if key >= 0:
                 ev_key[u] = (key >> _ROUND_SHIFT << _ROUND_SHIFT) | lab[u]
-
-    def _relabel(self, rows: List[int]) -> None:
-        """Evaluate the composite rows of ``rows`` in one pass; base
-        rows carry their labels already and are skipped.  ``rows`` must
-        be in ascending ``_rid`` order: every composite row is stamped
-        after both of its children, so its inputs are settled when it
-        is reached.  Each rule keeps the exact operation order of
-        :mod:`~repro.contraction.labels`, so float labels match the
-        reference bitwise."""
-        kind, lch, rch = self._kind, self._lchild, self._rchild
-        labA, labB, ops_col = self._labA, self._labB, self._op
-        add, mul = self.ring.add, self.ring.mul
-        for row in rows:
-            k = kind[row]
-            if k == _COMPRESS:
-                l, r = lch[row], rch[row]
-                a = labA[l]
-                labA[row] = mul(a, labA[r])
-                labB[row] = add(mul(a, labB[r]), labB[l])
-            elif k == _RAKE:
-                r = rch[row]
-                b, c = labB[lch[row]], labA[r]
-                op = ops_col[row]
-                if op.kind == "add":
-                    if op.const is not None:
-                        b = add(b, op.const)
-                    labA[row] = c
-                    labB[row] = add(mul(c, b), labB[r])
-                else:
-                    labA[row] = mul(c, b)
-                    labB[row] = labB[r]
 
     def _sweep(self) -> None:
         """Mark-sweep the slab: rows unreachable from the current

@@ -302,6 +302,43 @@ def test_r204_txn_region_uncovered_mutation():
     assert "rollback" in f.message
 
 
+def test_r204_does_not_repeat_an_r202_finding():
+    """An unjournaled in-bracket store that an entry reaches is one
+    defect: R202 reports it, and R204(a) stays silent on it."""
+    report = _run_fixtures(
+        effect_entries=(
+            EffectEntry("r204_txn.py", "Tree", "batch_link", ("R202",)),
+        )
+    )
+    hits = [
+        f for f in report.findings
+        if f.path == "r204_txn.py" and f.line == 23
+    ]
+    assert [f.rule for f in hits] == ["R202"], [str(f) for f in hits]
+    assert "OUTSIDE the snapshot coverage universe" in hits[0].message
+
+
+def test_r202_callback_is_reached_only_through_its_real_entry():
+    """A core handed to a shared runner is reached through the entry
+    that passes it, not through every caller of the runner."""
+    slow = EffectEntry("r202_two_backends.py", "RefBackend", "batch_link",
+                       ("R202",))
+    fast = EffectEntry("r202_two_backends.py", "FlatBackend", "batch_link",
+                       ("R202",))
+
+    def r202(*entries):
+        return _by_rule(_run_fixtures(effect_entries=entries), "R202")
+
+    assert not r202(slow)
+    hits = r202(slow, fast)
+    assert len(hits) == 1, [str(f) for f in hits]
+    (f,) = hits
+    assert f.line == 35
+    assert "batch entry point FlatBackend.batch_link" in f.message
+    assert "FlatBackend.batch_link -> FlatBackend._fast_core" in f.message
+    assert "run_batch" not in f.message
+
+
 def test_r204_taxonomy_swallow():
     report = _run_fixtures()
     hits = [
