@@ -6,7 +6,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-perf bench bench-smoke bench-regress bench-check bench-trace bench-pairs \
-        regress lint lint-effects fuzz-smoke fuzz-selftest fuzz-crash \
+        regress lint fuzz-smoke fuzz-selftest fuzz-crash \
         fuzz-faults fuzz-snapshots fuzz-serve fuzz-contraction \
         corpus-replay clean
 
@@ -79,24 +79,18 @@ bench-pairs:
 regress:
 	$(PYTHON) benchmarks/regress.py
 
-## Static invariants: the repro.lint site rules (R001, R003, R005)
-## over src/repro, then the
-## interprocedural effect pass (R201, R202, R204), then strict mypy on the
-## typed core when mypy is importable (the CI lint job installs it;
-## local runs without mypy skip that half with a notice).
+## Static invariants: the repro.lint effects pass (R001, R201, R202,
+## R204) over src/repro, then strict mypy on the typed core when mypy
+## is importable (the CI lint job installs it; local runs without mypy
+## skip that half with a notice).  Warm runs reuse the hash-keyed
+## summary cache in .lint-cache/ and skip parsing unchanged files.
 lint:
 	$(PYTHON) -m repro.lint
-	$(PYTHON) -m repro.lint --effects
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \
 		$(PYTHON) -m mypy; \
 	else \
 		echo "repro.lint: mypy not installed locally; skipping strict type check (CI runs it)"; \
 	fi
-
-## Incremental effects pass alone: warm runs reuse the hash-keyed
-## summary cache in .lint-cache/ and skip parsing unchanged files.
-lint-effects:
-	$(PYTHON) -m repro.lint --effects
 
 ## Fuzzing: every target below is one call to the single driver,
 ## `python -m repro.testing.fuzz <exercise>` (TESTING.md, "The fuzz

@@ -57,7 +57,6 @@ __all__ = [
     "SnapshotFormatError",
     "SnapshotChecksumError",
     "SnapshotStateError",
-    "ServeError",
     "PoisonedPayloadError",
     "STRUCTURE_REASONS",
     "HANDLE_REASONS",
@@ -323,12 +322,6 @@ class SnapshotStateError(SnapshotError):
 # ---------------------------------------------------------------------------
 # Serving layer (PR 10).
 # ---------------------------------------------------------------------------
-
-
-class ServeError(ReproError):
-    """Base class for errors of the batch-serving layer
-    (:mod:`repro.serve`).  Shedding, deadlines, an open breaker and
-    quarantine are reported as response statuses, not raised."""
 
 
 class PoisonedPayloadError(ReproError, ArithmeticError):

@@ -1,49 +1,40 @@
-"""repro.lint — invariant-enforcing static analysis for this repo.
+"""repro.lint — the repo's effects pass.
 
-An AST rule engine (:mod:`repro.lint.engine`) plus the repo's
-registered invariants (:mod:`repro.lint.config`):
+One pass (:mod:`repro.lint.effects`) extracts each function's effect
+atoms and call sites, links them into a call graph and checks:
 
 * **R001** every raise uses the :mod:`repro.errors` taxonomy;
-* **R003** the flat backend stays a drop-in twin of the reference;
-* **R005** modules declare their export surface via ``__all__``.
+* **R201** no module-level randomness anywhere, and no other
+  nondeterminism along batch call paths;
+* **R202** every mutating function a batch reaches saves its journal
+  pre-image;
+* **R204** transaction regions touch only restorable state, and no
+  handler swallows the ``ReproError`` taxonomy.
 
-The interprocedural pass (:mod:`repro.lint.effects`, rules R201, R202,
-R204) reports module-level randomness in any function and the rest of
-nondeterminism along batch call paths, and asks every mutating
-function a batch reaches for its journal pre-image.  PRAM step
-discipline is checked at run time by :mod:`repro.pram.sanitizer`, over
-sanitized runs of the shipped step programs
-(``tests/pram/test_sanitized_programs.py``).
+Entry points and justified allowlists live in
+:mod:`repro.lint.config`.  Backend parity and ``__all__`` hygiene are
+run-time facts, checked by tier-1 tests
+(``tests/test_backend_parity.py``, ``tests/test_errors_and_api.py``);
+PRAM step discipline is checked at run time by
+:mod:`repro.pram.sanitizer` (``tests/pram/test_sanitized_programs.py``).
 
-Run ``python -m repro.lint [--effects] [--json]``; the repo-clean
+Run ``python -m repro.lint [--json] [--no-cache]``; the repo-clean
 self-check in ``tests/lint/test_repo_clean.py`` keeps ``src/repro`` at
 zero findings.
 """
 
 from __future__ import annotations
 
-from .config import LintConfig, ParityPair, REPO_CONFIG
-from .engine import (
-    SCHEMA,
-    Finding,
-    LintReport,
-    ModuleInfo,
-    RepoContext,
-    Rule,
-    run_lint,
-)
-from .rules import default_rules
+from .config import REPO_CONFIG, EffectEntry, LintConfig
+from .effects import EFFECTS_SCHEMA, RULES, EffectsReport, Finding, run_effects
 
 __all__ = [
-    "SCHEMA",
+    "EFFECTS_SCHEMA",
+    "RULES",
+    "EffectEntry",
+    "EffectsReport",
     "Finding",
-    "LintReport",
-    "ModuleInfo",
-    "RepoContext",
-    "Rule",
-    "run_lint",
     "LintConfig",
-    "ParityPair",
     "REPO_CONFIG",
-    "default_rules",
+    "run_effects",
 ]

@@ -17,16 +17,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .config import REPO_CONFIG
-from .effects import EffectsReport, run_effects
-from .engine import LintReport, run_lint
-from .rules import default_rules
+from .effects import RULES, run_effects
 
 __all__ = ["main", "repo_root"]
-
-_DEFAULT_TARGETS = ("src/repro",)
 
 
 def repo_root() -> Path:
@@ -43,9 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "AST-level invariant checks for the repo: error-taxonomy "
-            "raises (R001), backend API parity (R003) and __all__ "
-            "hygiene (R005)."
+            "The effects pass: error-taxonomy raises (R001), "
+            "determinism along batch call paths (R201), journal "
+            "pre-images (R202) and transaction discipline (R204)."
         ),
     )
     parser.add_argument(
@@ -56,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable repro-lint/1 report on stdout",
+        help="emit the machine-readable repro-effects/1 report on stdout",
     )
     parser.add_argument(
         "--root",
@@ -64,18 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="repository root (default: auto-detected)",
     )
     parser.add_argument(
-        "--effects",
-        action="store_true",
-        help=(
-            "run the interprocedural effect/determinism pass "
-            "(R201, R202, R204) instead of the per-file rules; emits "
-            "repro-effects/1 with --json"
-        ),
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="(with --effects) ignore and do not write the summary cache",
+        help="ignore and do not write the summary cache",
     )
     return parser
 
@@ -83,24 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     root = Path(args.root).resolve() if args.root else repo_root()
-    targets: List[str] = list(args.targets) or list(_DEFAULT_TARGETS)
-    report: Union[LintReport, EffectsReport]
     try:
-        if args.effects:
-            report = run_effects(
-                root, targets, REPO_CONFIG, use_cache=not args.no_cache
-            )
-            header = (
-                f"repro.lint --effects: {report.files} files, "
-                f"{len(report.functions)} functions, cache "
-                f"{report.cache_hits} hit/{report.cache_misses} miss"
-            )
-        else:
-            report = run_lint(root, targets, default_rules(REPO_CONFIG))
-            header = (
-                f"repro.lint: {report.files} files, rules "
-                f"{'/'.join(report.rules)}"
-            )
+        report = run_effects(
+            root,
+            list(args.targets) or ["src/repro"],
+            REPO_CONFIG,
+            use_cache=not args.no_cache,
+        )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -119,5 +95,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             or "none"
         )
         status = "clean" if report.clean else "FINDINGS"
-        print(f"{header} -> {status} ({summary})")
+        print(
+            f"repro.lint: {report.files} files, "
+            f"{len(report.functions)} functions, rules {'/'.join(RULES)}, "
+            f"cache {report.cache_hits} hit/{report.cache_misses} miss "
+            f"-> {status} ({summary})"
+        )
     return 0 if report.clean else 1

@@ -1,11 +1,11 @@
-"""Registered allowlists and pair registries for the lint rules.
+"""Registered entry points and allowlists for the effects pass.
 
 Everything a rule exempts lives here, with a justification string, so
 "why is this allowed?" is answerable by reading one file — and adding a
 new exemption is a reviewable diff, not a scattered pragma.
 
 Paths are repo-root-relative with forward slashes (matching
-:attr:`repro.lint.engine.ModuleInfo.relpath`).
+:attr:`repro.lint.effects.model.ModuleSummary.relpath`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, Mapping, Tuple
 from ..snapshots.core import FLAT_SNAPSHOT_COLUMNS, REFERENCE_SNAPSHOT_FIELDS
 
 __all__ = [
-    "ParityPair",
     "EffectEntry",
     "LintConfig",
     "REPO_CONFIG",
@@ -24,155 +23,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# R003 — backend API parity pairs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParityPair:
-    """One reference↔flat surface that must stay in lockstep.
-
-    ``kind`` is ``"class"`` (compare public method/property names and
-    their parameter lists) or ``"function"`` (compare parameter lists).
-    ``allow_extra_flat``/``allow_extra_ref`` name members that may exist
-    on one side only (each with a justification in ``notes``).
-    ``param_renames`` maps reference-side parameter names to their
-    accepted flat-side spelling.
-    """
-
-    name: str
-    kind: str
-    ref_path: str
-    ref_symbol: str
-    flat_path: str
-    flat_symbol: str
-    allow_extra_ref: FrozenSet[str] = frozenset()
-    allow_extra_flat: FrozenSet[str] = frozenset()
-    param_renames: Mapping[str, str] = field(default_factory=dict)
-    notes: str = ""
-
-
-PARITY_PAIRS: Tuple[ParityPair, ...] = (
-    ParityPair(
-        name="rbsts",
-        kind="class",
-        ref_path="src/repro/splitting/rbsts.py",
-        ref_symbol="RBSTS",
-        flat_path="src/repro/perf/flat_rbsts.py",
-        flat_symbol="FlatRBSTS",
-        allow_extra_flat=frozenset({"slab_size", "free_slots", "handle"}),
-        notes=(
-            "slab_size/free_slots expose struct-of-arrays capacity (no "
-            "pointer-backend analogue); handle(idx) is the slot->FlatLeaf "
-            "constructor the reference backend does not need."
-        ),
-    ),
-    ParityPair(
-        name="activate",
-        kind="function",
-        ref_path="src/repro/splitting/activation.py",
-        ref_symbol="activate",
-        flat_path="src/repro/perf/flat_activation.py",
-        flat_symbol="flat_activate",
-    ),
-    ParityPair(
-        name="deactivate",
-        kind="function",
-        ref_path="src/repro/splitting/activation.py",
-        ref_symbol="deactivate",
-        flat_path="src/repro/perf/flat_activation.py",
-        flat_symbol="flat_deactivate",
-    ),
-    ParityPair(
-        name="activation-result",
-        kind="class",
-        ref_path="src/repro/splitting/activation.py",
-        ref_symbol="ActivationResult",
-        flat_path="src/repro/perf/flat_activation.py",
-        flat_symbol="FlatActivationResult",
-        allow_extra_flat=frozenset({"deactivate", "tree"}),
-        notes=(
-            "FlatActivationResult.deactivate() is a convenience bound "
-            "method (the reference API uses the free function); the "
-            "`tree` field is the backing FlatRBSTS the column clears "
-            "need — the reference result holds node objects instead."
-        ),
-    ),
-    ParityPair(
-        name="contraction-trace",
-        kind="class",
-        ref_path="src/repro/contraction/rake_tree.py",
-        ref_symbol="RakeTrace",
-        flat_path="src/repro/perf/flat_contraction.py",
-        flat_symbol="FlatContraction",
-        allow_extra_ref=frozenset({"new_node"}),
-        allow_extra_flat=frozenset({"replay", "removal"}),
-        notes=(
-            "new_node is the reference trace's RTNode allocator (the "
-            "slab allocates rows inline); replay() is the flat "
-            "backend's build entry point (the reference uses the free "
-            "function build_trace); the removal property materialises "
-            "the reference-shaped removal dict on demand (the "
-            "reference keeps it as a plain instance attribute)."
-        ),
-    ),
-    ParityPair(
-        name="extended-parse-tree",
-        kind="function",
-        ref_path="src/repro/splitting/parse_tree.py",
-        ref_symbol="build_extended_parse_tree",
-        flat_path="src/repro/perf/flat_prefix.py",
-        flat_symbol="flat_extended_parse_tree",
-        param_renames={"root": "tree"},
-        notes=(
-            "the reference walks from a node, the flat twin from the "
-            "tree (slots need the column arrays)."
-        ),
-    ),
-)
-
-
-# ---------------------------------------------------------------------------
-# R001 — raise-site policy
-# ---------------------------------------------------------------------------
-
-#: Builtins a library raise site may still use directly: programming-
-#: error signals that the taxonomy deliberately never wraps (errors.py
-#: module docstring).
-R001_ALLOWED_BUILTINS: FrozenSet[str] = frozenset(
-    {"TypeError", "AssertionError", "NotImplementedError"}
-)
-
-#: All other builtin exception constructors are forbidden at raise sites.
-R001_FORBIDDEN_BUILTINS: FrozenSet[str] = frozenset(
-    {
-        "Exception",
-        "BaseException",
-        "ValueError",
-        "KeyError",
-        "IndexError",
-        "LookupError",
-        "RuntimeError",
-        "ArithmeticError",
-        "ZeroDivisionError",
-        "OverflowError",
-        "OSError",
-        "IOError",
-        "StopIteration",
-        "AttributeError",
-        "NameError",
-        "SystemError",
-        "BufferError",
-        "EOFError",
-        "MemoryError",
-        "ReferenceError",
-        "UnicodeError",
-    }
-)
-
-
-# ---------------------------------------------------------------------------
-# R201, R202, R204 — interprocedural effect analysis (repro.lint.effects)
+# R201, R202, R204 — batch entry points and justified exemptions
 # ---------------------------------------------------------------------------
 
 
@@ -374,19 +225,22 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
 
 
 # ---------------------------------------------------------------------------
-# the bundle rules receive
+# the bundle the effects pass receives
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LintConfig:
-    parity_pairs: Tuple[ParityPair, ...] = PARITY_PAIRS
-    allowed_builtins: FrozenSet[str] = R001_ALLOWED_BUILTINS
-    forbidden_builtins: FrozenSet[str] = R001_FORBIDDEN_BUILTINS
-    #: Modules exempt from R005's "must define __all__" requirement
-    #: (entry-point shims with no importable surface).
-    exports_exempt: FrozenSet[str] = frozenset()
-    # -- R201/R202/R204 interprocedural effect analysis ----------------
+    #: R001: builtin exceptions a raise site may not use.  TypeError,
+    #: AssertionError and NotImplementedError stay allowed: they signal
+    #: programming errors the taxonomy deliberately never wraps.
+    forbidden_builtins: FrozenSet[str] = frozenset(
+        "Exception BaseException ValueError KeyError IndexError "
+        "LookupError RuntimeError ArithmeticError ZeroDivisionError "
+        "OverflowError OSError IOError StopIteration AttributeError "
+        "NameError SystemError BufferError EOFError MemoryError "
+        "ReferenceError UnicodeError".split()
+    )
     effect_entries: Tuple[EffectEntry, ...] = EFFECT_ENTRY_POINTS
     effect_allowlist: Mapping[str, Mapping[str, str]] = field(
         default_factory=lambda: {

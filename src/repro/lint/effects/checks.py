@@ -1,5 +1,10 @@
-"""The R2xx rule family: path-sensitive checks over the effect graph.
+"""The effects pass's rules: site and path-sensitive checks over the
+effect graph.
 
+* **R001** — every raise uses the :mod:`repro.errors` taxonomy, so
+  ``except ReproError`` is a complete catch contract: a ``raise`` atom
+  naming a forbidden builtin (``LintConfig.forbidden_builtins``) is a
+  finding wherever it sits, import-time raises included.
 * **R201** — no unsanctioned nondeterminism (module-level RNG, wall
   clock, set iteration) reachable from a public batch entry point, and
   no module-level randomness anywhere in the analysed code.  Sanctioned
@@ -29,24 +34,28 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Set, Tuple
 
-from ..engine import Finding
 from .graph import EffectGraph, SourcedAtom
 from .model import (
     KIND_GLOBAL_RNG,
     KIND_MUT_COL,
     KIND_MUT_NODE,
+    KIND_RAISE,
     MUT_KINDS,
     NONDET_KINDS,
     Atom,
+    Finding,
     ModuleSummary,
 )
 
-__all__ = ["EffectPolicy", "run_checks"]
+__all__ = ["RULES", "EffectPolicy", "run_checks"]
+
+#: The rule ids :func:`run_checks` reports.
+RULES = ("R001", "R201", "R202", "R204")
 
 
 class EffectPolicy:
-    """The slice of :class:`repro.lint.config.LintConfig` the R2xx
-    checks consume (kept separate so fixture tests can build one without
+    """The slice of :class:`repro.lint.config.LintConfig` the checks
+    consume (kept separate so fixture tests can build one without
     touching the repo registry)."""
 
     def __init__(
@@ -55,11 +64,13 @@ class EffectPolicy:
         allowlist: Mapping[str, Mapping[str, str]],
         columns: FrozenSet[str],
         node_fields: FrozenSet[str],
+        forbidden_raises: FrozenSet[str],
     ) -> None:
         self.entries = tuple(entries)
         self.allowlist = {r: dict(m) for r, m in allowlist.items()}
         self.columns = columns
         self.node_fields = node_fields
+        self.forbidden_raises = forbidden_raises
 
     def restorable(self, atom: Atom) -> bool:
         """Does ``atom`` mutate state the snapshot layer restores?"""
@@ -74,7 +85,8 @@ def run_checks(
     policy: EffectPolicy,
 ) -> List[Finding]:
     r202, reported = _check_r202(graph, policy)
-    findings: List[Finding] = _check_r201(graph, policy)
+    findings: List[Finding] = _check_r001(graph, policy)
+    findings.extend(_check_r201(graph, policy))
     findings.extend(r202)
     findings.extend(_check_r204(graph, policy, reported))
     kept: List[Finding] = []
@@ -135,6 +147,27 @@ def _resolved_entries(
             )
         else:
             yield entry, fid
+
+
+# ---------------------------------------------------------------------------
+# R001 — bare builtin raise
+# ---------------------------------------------------------------------------
+
+
+def _check_r001(graph: EffectGraph, policy: EffectPolicy) -> List[Finding]:
+    return [
+        _finding(
+            "R001",
+            fn.path,
+            atom.line,
+            f"raises builtin {atom.detail}; use a ReproError subclass "
+            "from repro.errors (dual-inheritance classes keep the "
+            "legacy builtin catchable)",
+        )
+        for _fid, fn in sorted(graph.functions.items())
+        for atom in fn.atoms
+        if atom.kind == KIND_RAISE and atom.detail in policy.forbidden_raises
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def extract_module(
 
     skip_mut = spec.is_seam_path(relpath)
     # Statements that run at import time (module and class bodies,
-    # decorators, default values) are scanned for randomness only.
+    # decorators, default values) keep only randomness and raise atoms.
     top = _FunctionScanner(spec, True, symbol_imports, module_imports)
 
     def walk_body(
@@ -294,7 +294,9 @@ def extract_module(
                 top.scan_body([stmt])
 
     walk_body(tree.body, "", "")
-    import_time = [a for a in top.atoms if a.kind == KIND_GLOBAL_RNG]
+    import_time = [
+        a for a in top.atoms if a.kind in (KIND_GLOBAL_RNG, KIND_RAISE)
+    ]
     if import_time:
         functions.append(
             FunctionSummary(

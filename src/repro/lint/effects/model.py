@@ -1,4 +1,4 @@
-"""Data model for the interprocedural effect analysis (R201-R204).
+"""Data model for the effects pass (R001, R201, R202, R204).
 
 Everything here is a plain, JSON-round-trippable value object: the
 per-file extraction (:mod:`repro.lint.effects.extract`) produces one
@@ -31,8 +31,11 @@ kind             meaning
                  private container — state no snapshot restores
 ``io``           persistence (``open``, ``os.replace``/``rename``/…,
                  ``Path.write_*``)
-``raise``        a raise site, detail = exception type name
+``raise``        a raise site, detail = exception type name (R001 reads
+                 these, import-time raises included)
 ===============  ============================================================
+
+A check's verdict is a :class:`Finding` at a source location.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
     "Handler",
     "FunctionSummary",
     "ModuleSummary",
+    "Finding",
 ]
 
 KIND_RNG = "rng"
@@ -281,9 +285,37 @@ class ModuleSummary:
         )
 
     def suppressed(self, rule: str, line: int) -> bool:
-        """Pragma check mirroring :meth:`ModuleInfo.suppressed` (same
-        line or the line above), but answerable from the cache."""
+        """True when ``# lint: ignore[RULE]`` sits on ``line`` or the
+        line above (answerable from the cache, without the source)."""
         for ln in (line, line - 1):
             if rule in self.pragmas.get(ln, ()):
                 return True
         return False
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at a source location."""
+
+    rule: str
+    level: str  # always "error" today
+    path: str  # repo-root-relative, forward slashes
+    line: int
+    col: int
+    message: str
+
+    def to_json(self) -> Dict[str, Any]:
+        return {
+            "rule": self.rule,
+            "level": self.level,
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "message": self.message,
+        }
+
+    def __str__(self) -> str:
+        return (
+            f"{self.path}:{self.line}:{self.col}: "
+            f"{self.rule} [{self.level}] {self.message}"
+        )

@@ -2,7 +2,7 @@
 
 ``run_effects(root, targets, config)`` is the whole pipeline: discover
 files, extract (through the hash-keyed cache), link, propagate, check
-R201-R204, and wrap the result in an :class:`EffectsReport` whose
+R001/R201/R202/R204, and wrap the result in an :class:`EffectsReport` whose
 ``to_json`` emits the ``repro-effects/1`` document CI uploads as an
 artifact.  The per-function section of the report is the analysis's
 public byproduct: every function's local atoms, resolved out-edges and
@@ -17,14 +17,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..config import LintConfig
-from ..engine import Finding, discover_files
 from .cache import SummaryCache, cache_path
 from .checks import EffectPolicy, run_checks
 from .extract import ExtractionSpec, extract_module, file_sha256
 from .graph import EffectGraph
-from .model import ModuleSummary
+from .model import Finding, ModuleSummary
 
-__all__ = ["EFFECTS_SCHEMA", "EffectsReport", "run_effects"]
+__all__ = ["EFFECTS_SCHEMA", "EffectsReport", "discover_files", "run_effects"]
 
 EFFECTS_SCHEMA = "repro-effects/1"
 
@@ -65,6 +64,23 @@ class EffectsReport:
         }
 
 
+def discover_files(root: Path, targets: Sequence[str]) -> List[Path]:
+    """Expand ``targets`` (files or directories, relative to ``root``)
+    into a sorted list of ``.py`` files."""
+    seen: Dict[Path, None] = {}
+    for target in targets:
+        p = (root / target).resolve() if not Path(target).is_absolute() else Path(target)
+        if p.is_dir():
+            for f in sorted(p.rglob("*.py")):
+                if "__pycache__" not in f.parts:
+                    seen.setdefault(f.resolve())
+        elif p.is_file():
+            seen.setdefault(p.resolve())
+        else:
+            raise FileNotFoundError(f"lint target not found: {target}")
+    return list(seen)
+
+
 def _policy_from_config(config: LintConfig) -> EffectPolicy:
     return EffectPolicy(
         entries=[
@@ -74,6 +90,7 @@ def _policy_from_config(config: LintConfig) -> EffectPolicy:
         allowlist=config.effect_allowlist,
         columns=config.effect_columns,
         node_fields=config.effect_node_fields,
+        forbidden_raises=config.forbidden_builtins,
     )
 
 

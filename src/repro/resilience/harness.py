@@ -6,11 +6,13 @@ profile), drives it through a :class:`~.executor.ResilientListSession`
 under a :class:`~.faults.FaultPlan`, and interleaves a supervised PRAM
 parallel-sum reduction on a :class:`~.faults.FaultyMachine` — so all
 three fault families (machine, memory, tree) hit the same run.  It then
-replays the *same* program fault-free (the oracle) and checks the
-recovery contract of ISSUE 5: every operation either
+replays the *same* program on a plain Python list with the ring's
+monoid fold (the oracle, which uses nothing of the layer under
+test) and checks the recovery contract: every operation either
 
-(a) **completes** identically to the fault-free oracle — answers, final
-    values and (when no rung was lost) the master-RNG stream;
+(a) **completes** identically to the oracle — answers and final values
+    — with (when no rung was lost) the master-RNG stream of a
+    fault-free supervised run;
 (b) **completes degraded** — a recorded
     :class:`~.executor.DegradationEvent` with oracle-identical answers
     from the lower rung; or
@@ -28,9 +30,19 @@ Any other behaviour is a :class:`RecoveryViolation` in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from ..algebra.monoid import sum_monoid
+from ..algebra.monoid import Monoid, sum_monoid
 from ..errors import CorruptionDetectedError, RetryExhaustedError
 from ..pram.memory import WritePolicy
 from ..pram.ops import Fork, Program, Read, Write
@@ -208,8 +220,54 @@ def _norm_positions(raw: Sequence[int], n: int, *, dedupe: bool) -> List[int]:
     return out
 
 
+class _PlainList:
+    """The recovery oracle: a Python list and the ring's monoid fold,
+    with the position semantics of the session's list API."""
+
+    def __init__(self, monoid: Monoid, values: Sequence[Any]) -> None:
+        self.monoid = monoid
+        self.items = list(values)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def insert(self, index: int, value: Any) -> None:
+        self.items.insert(index, value)
+
+    def delete(self, index: int) -> None:
+        self.items.pop(index)
+
+    def batch_insert(self, pairs: Sequence[Tuple[int, Any]]) -> None:
+        # Pre-batch positions; equal positions land in request order,
+        # ahead of the original occupant.
+        by_pos: Dict[int, List[Any]] = {}
+        for pos, value in pairs:
+            by_pos.setdefault(pos, []).append(value)
+        out: List[Any] = []
+        for pos in range(len(self.items) + 1):
+            out.extend(by_pos.get(pos, ()))
+            out.extend(self.items[pos : pos + 1])
+        self.items = out
+
+    def batch_delete(self, positions: Sequence[int]) -> None:
+        dead = set(positions)
+        self.items = [v for i, v in enumerate(self.items) if i not in dead]
+
+    def batch_set(self, pairs: Sequence[Tuple[int, Any]]) -> None:
+        for pos, value in pairs:
+            self.items[pos] = value
+
+    def prefix(self, index: int) -> Any:
+        return self.monoid.fold(self.items[: index + 1])
+
+    def range_fold(self, i: int, j: int) -> Any:
+        return self.monoid.fold(self.items[i : j + 1])
+
+
 def _apply_op(
-    session: ResilientListSession, seq: OpSequence, op: List[Any]
+    session: Union[ResilientListSession, _PlainList],
+    seq: OpSequence,
+    op: List[Any],
 ) -> List[Tuple[str, Any]]:
     """Apply one raw op with the exact normalisation semantics of
     :class:`repro.testing.executor._ListRunner`; returns the query
@@ -303,7 +361,7 @@ def run_resilience_program(
     plan: Optional[FaultPlan] = None,
     policy: Optional[ResiliencePolicy] = None,
 ) -> ResilienceReport:
-    """Run ``seq`` under fault injection, then against the fault-free
+    """Run ``seq`` under fault injection, then against the plain-list
     oracle; classify the outcome and flag contract violations."""
     policy = policy if policy is not None else policy_for_seed(seq.seed)
     report = ResilienceReport(seq=seq)
@@ -361,16 +419,16 @@ def _run_one(
     report.degradations.extend(str(e) for e in executor.events)
     report.stats = dict(executor.stats)
 
-    # -- the fault-free oracle -------------------------------------------
-    oracle = _oracle_answers(seq, set(report.aborted_ops))
-    if report.final_values != oracle["final_values"]:
+    # -- the plain-list oracle -------------------------------------------
+    final_values, answers = _oracle_answers(seq, set(report.aborted_ops))
+    if report.final_values != final_values:
         raise RecoveryViolation(
-            f"final values diverge from the fault-free oracle: "
-            f"{report.final_values!r} != {oracle['final_values']!r}"
+            f"final values diverge from the plain-list oracle: "
+            f"{report.final_values!r} != {final_values!r}"
         )
-    if report.answers != oracle["answers"]:
+    if report.answers != answers:
         raise RecoveryViolation(
-            _first_answer_divergence(report.answers, oracle["answers"])
+            _first_answer_divergence(report.answers, answers)
         )
     if report.aborted_ops:
         report.outcome = "aborted"
@@ -378,36 +436,43 @@ def _run_one(
         report.outcome = "degraded"
     else:
         report.outcome = "clean"
-        # Outcome (a) includes RNG parity: the supervised run consumed
-        # exactly the master-RNG stream of the unsupervised one.
-        if session.rng_state() != oracle["rng_state"]:
+        # Outcome (a) includes RNG parity: the faulted run consumed
+        # exactly the master-RNG stream of a fault-free one.
+        if session.rng_state() != _fault_free_rng_state(seq):
             raise RecoveryViolation(
-                "clean run diverged from the oracle's master-RNG stream"
+                "clean run diverged from the fault-free master-RNG stream"
             )
 
 
-def _oracle_answers(seq: OpSequence, aborted: Set[int]) -> Dict[str, Any]:
-    """Replay ``seq`` fault-free (skipping the ops the faulted run
-    aborted — they mutated nothing there) and record what the answers
-    *should* have been."""
-    monoid = sum_monoid(FUZZ_RINGS[seq.ring])
-    session = ResilientListSession(
-        monoid, initial_values(seq), seed=seq.seed, policy=ResiliencePolicy()
-    )
+def _oracle_answers(
+    seq: OpSequence, aborted: Set[int]
+) -> Tuple[List[Any], List[Tuple[int, str, Any]]]:
+    """The final values and answers ``seq`` should produce, replayed on
+    a :class:`_PlainList` (skipping the ops the faulted run aborted —
+    they mutated nothing there)."""
+    model = _PlainList(sum_monoid(FUZZ_RINGS[seq.ring]), initial_values(seq))
     answers: List[Tuple[int, str, Any]] = []
     for op_index, op in enumerate(seq.ops):
         if op_index not in aborted:
-            for label, answer in _apply_op(session, seq, op):
+            for label, answer in _apply_op(model, seq, op):
                 answers.append((op_index, label, answer))
         if _psum_due(seq, op_index):
-            answers.append(
-                (op_index, "psum", sum(int(v) for v in session.values()))
-            )
-    return {
-        "final_values": session.values(),
-        "answers": answers,
-        "rng_state": session.rng_state(),
-    }
+            answers.append((op_index, "psum", sum(int(v) for v in model.items)))
+    return model.items, answers
+
+
+def _fault_free_rng_state(seq: OpSequence) -> Any:
+    """The master-RNG state after a fault-free supervised run of
+    ``seq``: the reference for the RNG-parity half of outcome (a)."""
+    session = ResilientListSession(
+        sum_monoid(FUZZ_RINGS[seq.ring]),
+        initial_values(seq),
+        seed=seq.seed,
+        policy=ResiliencePolicy(),
+    )
+    for op in seq.ops:
+        _apply_op(session, seq, op)
+    return session.rng_state()
 
 
 def _first_answer_divergence(

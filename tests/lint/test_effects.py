@@ -733,7 +733,7 @@ def test_report_json_schema():
 def test_cli_effects_mode(tmp_path, capsys):
     from repro.lint.cli import main
 
-    rc = main(["--effects", "--no-cache", "--json"])
+    rc = main(["--no-cache", "--json"])
     out = capsys.readouterr().out
     assert rc == 0
     doc = json.loads(out)

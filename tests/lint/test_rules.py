@@ -1,40 +1,59 @@
-"""Each rule catches its planted fixture violation and accepts the
-clean twin; engine-level behaviours (suppression, JSON report) ride
-along."""
+"""The retired site rules' planted fixtures, checked by their
+successors:
+
+* R001 (bare builtin raise) is a check of the effects pass over every
+  function's ``raise`` atoms, import-time raises included;
+* R003 (backend parity) is ``tests/test_backend_parity.py``, which
+  compares each backend pair as Python reports it at run time;
+* R005 (``__all__`` hygiene) is
+  ``tests/test_errors_and_api.py::test_public_api_exports_resolve``,
+  which imports every ``repro`` module.
+
+Each successor must fail on the old rule's planted fixtures.
+"""
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-from repro.lint.config import LintConfig, ParityPair, REPO_CONFIG
-from repro.lint.engine import SCHEMA, run_lint
-from repro.lint.rules import (
-    BackendParityRule,
-    BareRaiseRule,
-    ExportHygieneRule,
-)
+from repro.lint.config import LintConfig
+from repro.lint.effects import EFFECTS_SCHEMA, run_effects
+from tests.test_backend_parity import PARITY_PAIRS, ParityPair, surface_drift
+from tests.test_errors_and_api import export_problems
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+#: No batch entries: the fixtures are single files, not the repo.
+_NO_ENTRIES = LintConfig(effect_entries=())
 
-def _run(targets, rules):
-    return run_lint(FIXTURES, targets, rules)
+
+def _lint(*targets):
+    return run_effects(FIXTURES, list(targets), _NO_ENTRIES, use_cache=False)
 
 
-def _rules_of(report):
-    return sorted(f.rule for f in report.findings)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"lint_fixture_{name}", FIXTURES / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
-# R001 — bare builtin raise
+# R001 — bare builtin raise (effects pass)
 # ---------------------------------------------------------------------------
 
 
 def test_r001_flags_planted_builtin_raises():
-    report = _run(["r001_bad.py"], [BareRaiseRule(REPO_CONFIG)])
-    assert _rules_of(report) == ["R001", "R001"]
+    report = _lint("r001_bad.py")
+    assert [(f.rule, f.line) for f in report.findings] == [
+        ("R001", 8),
+        ("R001", 14),
+    ]
     messages = " ".join(f.message for f in report.findings)
     assert "KeyError" in messages and "ValueError" in messages
     # TypeError is an allowed programming-error signal.
@@ -42,49 +61,39 @@ def test_r001_flags_planted_builtin_raises():
 
 
 def test_r001_clean_twin_passes():
-    report = _run(["r001_good.py"], [BareRaiseRule(REPO_CONFIG)])
-    assert report.clean
+    assert _lint("r001_good.py").clean
 
 
 def test_r001_pragma_suppression():
-    report = _run(["r001_suppressed.py"], [BareRaiseRule(REPO_CONFIG)])
-    assert report.clean
+    assert _lint("r001_suppressed.py").clean
+
+
+def test_r001_sees_import_time_raises():
+    report = _lint("r001_import_time.py")
+    assert [(f.rule, f.line) for f in report.findings] == [
+        ("R001", 6),
+        ("R001", 11),
+    ]
+    assert all("ValueError" in f.message for f in report.findings)
 
 
 # ---------------------------------------------------------------------------
-# R003 — backend API parity
+# R003 — backend API parity (tests/test_backend_parity.py)
 # ---------------------------------------------------------------------------
 
-_PARITY_CONFIG = LintConfig(
-    parity_pairs=(
-        ParityPair(
-            name="store",
-            kind="class",
-            ref_path="parity_ref.py",
-            ref_symbol="Store",
-            flat_path="parity_flat_bad.py",
-            flat_symbol="FlatStore",
-        ),
-        ParityPair(
-            name="activate",
-            kind="function",
-            ref_path="parity_ref.py",
-            ref_symbol="activate",
-            flat_path="parity_flat_bad.py",
-            flat_symbol="flat_activate",
-        ),
+
+def _store_pairs(**store_options):
+    ref, flat = _load("parity_ref"), _load("parity_flat_bad")
+    return (
+        ParityPair("store", ref.Store, flat.FlatStore, **store_options),
+        ParityPair("activate", ref.activate, flat.flat_activate),
     )
-)
 
 
 def test_r003_flags_every_planted_drift():
-    report = _run(
-        ["parity_ref.py", "parity_flat_bad.py"],
-        [BackendParityRule(_PARITY_CONFIG)],
-    )
-    messages = [f.message for f in report.findings]
-    assert len(messages) == 5, messages
-    joined = " ".join(messages)
+    drift = [d for pair in _store_pairs() for d in surface_drift(pair)]
+    assert len(drift) == 5, drift
+    joined = " ".join(drift)
     assert "parameter drift on 'insert'" in joined
     assert "lacks public member 'delete'" in joined
     assert "'depth' is a property" in joined
@@ -93,51 +102,24 @@ def test_r003_flags_every_planted_drift():
 
 
 def test_r003_allow_extra_registry_silences_growth():
-    config = LintConfig(
-        parity_pairs=(
-            ParityPair(
-                name="store",
-                kind="class",
-                ref_path="parity_ref.py",
-                ref_symbol="Store",
-                flat_path="parity_flat_bad.py",
-                flat_symbol="FlatStore",
-                allow_extra_flat=frozenset({"compact"}),
-                notes="test: compact registered",
-            ),
-        )
-    )
-    report = _run(
-        ["parity_ref.py", "parity_flat_bad.py"],
-        [BackendParityRule(config)],
-    )
-    assert all("compact" not in f.message for f in report.findings)
+    store, _ = _store_pairs(allow_extra_flat=frozenset({"compact"}))
+    drift = surface_drift(store)
+    assert len(drift) == 3, drift
+    assert all("compact" not in d for d in drift)
 
 
 def test_r003_contraction_trace_pair_flags_planted_drift():
     """The contraction-trace pair shape (RakeTrace vs FlatContraction)
     with every drift class planted on the flat side."""
-    config = LintConfig(
-        parity_pairs=(
-            ParityPair(
-                name="contraction-trace",
-                kind="class",
-                ref_path="parity_contraction_ref.py",
-                ref_symbol="Trace",
-                flat_path="parity_contraction_flat_bad.py",
-                flat_symbol="FlatTrace",
-                allow_extra_ref=frozenset({"new_node"}),
-                notes="test: new_node registered reference-only",
-            ),
-        )
+    pair = ParityPair(
+        "contraction-trace",
+        _load("parity_contraction_ref").Trace,
+        _load("parity_contraction_flat_bad").FlatTrace,
+        allow_extra_ref=frozenset({"new_node"}),
     )
-    report = _run(
-        ["parity_contraction_ref.py", "parity_contraction_flat_bad.py"],
-        [BackendParityRule(config)],
-    )
-    messages = [f.message for f in report.findings]
-    assert len(messages) == 5, messages
-    joined = " ".join(messages)
+    drift = surface_drift(pair)
+    assert len(drift) == 5, drift
+    joined = " ".join(drift)
     assert "parameter drift on 'set_rake_op'" in joined
     assert "parameter drift on 'heal'" in joined
     assert "lacks public member 'removal_kind'" in joined
@@ -149,56 +131,43 @@ def test_r003_contraction_trace_pair_flags_planted_drift():
 
 def test_r003_repo_contraction_pair_registered():
     """The real RakeTrace<->FlatContraction surfaces are pinned by the
-    repo config — and currently in lockstep."""
-    pair = {p.name: p for p in REPO_CONFIG.parity_pairs}["contraction-trace"]
-    assert pair.ref_symbol == "RakeTrace"
-    assert pair.flat_symbol == "FlatContraction"
+    parity table — and currently in lockstep."""
+    pair = {p.name: p for p in PARITY_PAIRS}["contraction-trace"]
+    assert pair.ref.__name__ == "RakeTrace"
+    assert pair.flat.__name__ == "FlatContraction"
     assert pair.allow_extra_ref == frozenset({"new_node"})
     assert pair.allow_extra_flat == frozenset({"replay", "removal"})
-    repo_root = Path(__file__).resolve().parents[2]
-    report = run_lint(
-        repo_root,
-        [pair.ref_path, pair.flat_path],
-        [BackendParityRule(REPO_CONFIG)],
-    )
-    assert report.clean, [f.message for f in report.findings]
+    assert surface_drift(pair) == []
 
 
 # ---------------------------------------------------------------------------
-# R005 — __all__ hygiene
+# R005 — __all__ hygiene (tests/test_errors_and_api.py)
 # ---------------------------------------------------------------------------
 
 
 def test_r005_flags_missing_all():
-    report = _run(["r005_bad.py"], [ExportHygieneRule(REPO_CONFIG)])
-    assert _rules_of(report) == ["R005"]
-    assert "no __all__" in report.findings[0].message
+    assert export_problems(_load("r005_bad")) == [
+        "no __all__, but defines ['Widget', 'exported_maybe']"
+    ]
 
 
 def test_r005_flags_stale_duplicate_and_unlisted():
-    report = _run(["r005_bad_stale.py"], [ExportHygieneRule(REPO_CONFIG)])
-    joined = " ".join(f.message for f in report.findings)
+    problems = export_problems(_load("r005_bad_stale"))
+    joined = " ".join(problems)
     assert "more than once" in joined
     assert "'ghost'" in joined
     assert "'unlisted'" in joined
-    assert len(report.findings) == 3
-
-
-def test_r005_exempt_registry():
-    config = LintConfig(exports_exempt=frozenset({"r005_bad.py"}))
-    report = _run(["r005_bad.py"], [ExportHygieneRule(config)])
-    assert report.clean
+    assert len(problems) == 3
 
 
 # ---------------------------------------------------------------------------
-# engine-level behaviours
+# report-level behaviours
 # ---------------------------------------------------------------------------
 
 
 def test_report_json_shape():
-    report = _run(["r001_bad.py"], [BareRaiseRule(REPO_CONFIG)])
-    doc = report.to_json()
-    assert doc["schema"] == SCHEMA
+    doc = _lint("r001_bad.py").to_json()
+    assert doc["schema"] == EFFECTS_SCHEMA
     assert doc["files"] == 1
     assert doc["counts"] == {"R001": 2}
     assert doc["clean"] is False
@@ -208,4 +177,4 @@ def test_report_json_shape():
 
 def test_missing_target_raises():
     with pytest.raises(FileNotFoundError):
-        _run(["does_not_exist.py"], [BareRaiseRule(REPO_CONFIG)])
+        _lint("does_not_exist.py")

@@ -78,3 +78,23 @@ def test_fault_free_plan_is_always_clean():
         seq, plan=None, policy=policy_for_seed(12345)
     )
     assert report.ok and report.outcome == "clean" and not report.faults
+
+
+def test_recovery_check_is_independent_of_the_session(monkeypatch):
+    """The oracle must not share the layer it checks: a session whose
+    ``batch_set`` writes ``value + 1`` on every rung fails every
+    fault-free program that sets a value."""
+    from repro.resilience.executor import ResilientListSession
+
+    batch_set = ResilientListSession.batch_set
+    monkeypatch.setattr(
+        ResilientListSession,
+        "batch_set",
+        lambda self, pairs: batch_set(self, [(p, v + 1) for p, v in pairs]),
+    )
+    programs = [generate("list", seed, OPS, profile="faulty") for seed in range(10)]
+    setting = [s for s in programs if any(op[0] == "bset" for op in s.ops)]
+    assert setting
+    for seq in setting:
+        report = run_resilience_program(seq, plan=None)
+        assert not report.ok and "oracle" in report.failure, report.describe()

@@ -1,5 +1,9 @@
 """Exception hierarchy and public API surface."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
 import repro
@@ -36,9 +40,48 @@ def test_library_never_raises_bare_exceptions():
         tree.delete(tree.leaf_at(0))
 
 
+def export_problems(module):
+    """Every way ``module``'s ``__all__`` misstates its surface: it
+    is missing while the module defines public classes or functions,
+    lists a name twice, lists a name the module lacks, or leaves out a
+    public class or function the module defines."""
+    defined = sorted(
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__ == module.__name__
+        and obj.__name__ == name
+    )
+    exported = getattr(module, "__all__", None)
+    if exported is None:
+        return [f"no __all__, but defines {defined}"] if defined else []
+    problems = [
+        f"__all__ lists {name!r} more than once"
+        for name in sorted({n for n in exported if exported.count(n) > 1})
+    ]
+    problems += [
+        f"__all__ lists {name!r}, which the module lacks"
+        for name in exported
+        if not hasattr(module, name)
+    ]
+    problems += [
+        f"public definition {name!r} is not in __all__"
+        for name in defined
+        if name not in exported
+    ]
+    return problems
+
+
 def test_public_api_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
+    problems = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        found = export_problems(importlib.import_module(info.name))
+        if found:
+            problems[info.name] = found
+    assert problems == {}
 
 
 def test_version_is_pep440ish():
