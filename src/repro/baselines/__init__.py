@@ -4,6 +4,7 @@ from .linkcut import LinkCutForest
 from .naive_walk import WalkActivationResult, activate_by_walking, deactivate_walk
 from .recompute import RecomputeBaseline
 from .sequential import SequentialContraction
+from .sequential_list import SequentialList
 
 #: Pluggable oracle registry for the fuzzing executor
 #: (:mod:`repro.testing.executor`).  Each entry maps a ``--oracle`` name
@@ -20,5 +21,6 @@ __all__ = [
     "WalkActivationResult",
     "RecomputeBaseline",
     "SequentialContraction",
+    "SequentialList",
     "CONTRACTION_ORACLES",
 ]

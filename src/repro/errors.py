@@ -36,7 +36,6 @@ __all__ = [
     "NotALeafError",
     "NotAnInternalNodeError",
     "UnknownNodeError",
-    "AlgebraError",
     "RequestError",
     "InvalidParameterError",
     "EmptyTreeError",
@@ -144,11 +143,6 @@ class NotAnInternalNodeError(TreeStructureError, ValueError):
 
 class UnknownNodeError(ReproError):
     """A request referenced a node that is not part of the structure."""
-
-
-class AlgebraError(ReproError):
-    """An algebraic structure was misused (e.g. elements from different
-    rings combined, or a non-invertible operation requested)."""
 
 
 class RequestError(ReproError):

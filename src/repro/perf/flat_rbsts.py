@@ -67,10 +67,9 @@ from ..errors import (
 )
 from ..pram.frames import SpanTracker
 from ..splitting.build import Summarizer
-from ..snapshots.core import txn_begin, txn_commit, txn_rollback
+from ..snapshots.core import FlatSnapshot, txn_begin, txn_commit, txn_rollback
 from ..snapshots.reader import PinnedReader
 from ..transactions import (
-    FlatJournal,
     execute_batch,
     validate_batch_delete,
     validate_batch_insert,
@@ -162,10 +161,10 @@ class FlatRBSTS:
         # Transactional array-epoch journal (transactions.py); ``None``
         # outside a batch transaction.  Set before any build so the
         # construction never journals.
-        self._journal: Optional[FlatJournal] = None
+        self._journal: Optional[FlatSnapshot] = None
         # Innermost open snapshot in the transaction stack and the
         # MVCC epoch counter (repro.snapshots.core).
-        self._txn: Optional[FlatJournal] = None
+        self._txn: Optional[FlatSnapshot] = None
         self._snapshot_epoch = 0
         # Whether the current state passed a supervised audit: the
         # region audit (``check_invariants(since=...)``) trusts only a
@@ -1259,16 +1258,16 @@ class FlatRBSTS:
     # including nested opens and the recording-seam fanout — lives in
     # repro.snapshots.core)
     # ------------------------------------------------------------------
-    def _txn_begin(self) -> FlatJournal:
-        journal = FlatJournal(self)
+    def _txn_begin(self) -> FlatSnapshot:
+        journal = FlatSnapshot(self)
         txn_begin(self, journal)
         self._audited = False
         return journal
 
-    def _txn_rollback(self, journal: FlatJournal) -> None:
+    def _txn_rollback(self, journal: FlatSnapshot) -> None:
         txn_rollback(self, journal)
 
-    def _txn_commit(self, journal: FlatJournal) -> None:
+    def _txn_commit(self, journal: FlatSnapshot) -> None:
         txn_commit(self, journal)
 
     def pinned_reader(self, *, monoid: Any = None) -> PinnedReader:
@@ -1333,7 +1332,7 @@ class FlatRBSTS:
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
-    def check_invariants(self, since: Optional[FlatJournal] = None) -> None:
+    def check_invariants(self, since: Optional[FlatSnapshot] = None) -> None:
         """Verify every structural invariant (the reference checks plus
         slab-specific ones: free/live disjointness, handle interning).
 
@@ -1491,7 +1490,7 @@ class FlatRBSTS:
                 f"{len(self._parent)} slots"
             )
 
-    def _written_slots(self, since: FlatJournal) -> List[int]:
+    def _written_slots(self, since: FlatSnapshot) -> List[int]:
         """The live slots the batch bracketed by ``since`` wrote: its
         copy-on-write pre-images and the slots born past the capture
         length, less those on the free list now (a slot freed since
@@ -1504,7 +1503,7 @@ class FlatRBSTS:
         )
         return out
 
-    def _dirty_region(self, since: FlatJournal) -> List[int]:
+    def _dirty_region(self, since: FlatSnapshot) -> List[int]:
         """The slots whose checks can see a cell the batch bracketed by
         ``since`` wrote, sorted.  The dirty slots are the pre-existing
         slots it wrote (the copy-on-write pre-images), the slots born

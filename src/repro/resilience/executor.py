@@ -13,8 +13,11 @@ journal is pure pre-image bookkeeping.
 
 :class:`ResilientListSession` stacks the degradation ladder on top for
 the incremental-list workload: rungs ``flat → reference → sequential``
-(the struct-of-arrays backend, the pointer-graph backend, and a plain
-Python list driven by the same monoid — the sequential oracle).  When
+(the struct-of-arrays backend, the pointer-graph backend, and a
+:class:`~repro.baselines.sequential_list.SequentialList` driven by the
+same monoid — the sequential oracle).  Every rung refuses the same
+requests with the same errors: the trees check inside the trees, and
+the session runs the same checks before the sequential rung.  When
 one rung exhausts its retries the session records a
 :class:`DegradationEvent`, rebuilds the next rung's structure from the
 last committed values, and re-runs the operation there.  Every batch
@@ -27,15 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..baselines.sequential_list import SequentialList
 from ..errors import (
     BatchValidationError,
     CorruptionDetectedError,
     InvalidParameterError,
     MachineHangError,
+    PositionError,
+    RequestError,
     RetryExhaustedError,
     TreeStructureError,
+    batch_validation_error,
 )
 from ..listprefix.structure import IncrementalListPrefix
+from ..transactions import validate_batch_insert, validate_positions
 from .faults import TREE_FAULT_KINDS, FaultPlan, corrupt_journaled_cell
 from .scrub import repair, scrub
 
@@ -45,6 +53,7 @@ __all__ = [
     "ResiliencePolicy",
     "ResilientExecutor",
     "ResilientListSession",
+    "apply_on_tree",
 ]
 
 #: Growth of the simulated retry backoff: attempt ``k`` adds
@@ -253,40 +262,6 @@ class ResilientExecutor:
 # ---------------------------------------------------------------------------
 
 
-class _SequentialList:
-    """The bottom rung: a plain Python list driven by the same monoid.
-    Matches the answer semantics of :class:`IncrementalListPrefix`
-    exactly (folds associate left-to-right)."""
-
-    def __init__(self, monoid: Any, values: Sequence[Any]) -> None:
-        self.monoid = monoid
-        self.items: List[Any] = list(values)
-
-    def values(self) -> List[Any]:
-        return list(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def total(self) -> Any:
-        acc = self.monoid.identity
-        for v in self.items:
-            acc = self.monoid.combine(acc, v)
-        return acc
-
-    def prefix(self, index: int) -> Any:
-        acc = self.monoid.identity
-        for v in self.items[: index + 1]:
-            acc = self.monoid.combine(acc, v)
-        return acc
-
-    def range_fold(self, i: int, j: int) -> Any:
-        acc = self.monoid.identity
-        for v in self.items[i : j + 1]:
-            acc = self.monoid.combine(acc, v)
-        return acc
-
-
 class ResilientListSession:
     """Position-based incremental-list API with a degradation ladder.
 
@@ -358,7 +333,7 @@ class ResilientListSession:
     # -- construction ---------------------------------------------------
     def _build(self, rung: str, values: Sequence[Any]) -> Any:
         if rung == "sequential":
-            return _SequentialList(self.monoid, values)
+            return SequentialList(self.monoid, values)
         return IncrementalListPrefix(
             self.monoid, values, seed=self.seed, backend=rung
         )
@@ -378,9 +353,10 @@ class ResilientListSession:
     # -- the supervised dispatch ---------------------------------------
     def _run(
         self,
-        label: str,
-        apply_tree: Callable[[Any], Any],
-        apply_seq: Callable[[_SequentialList], Any],
+        op: str,
+        args: Tuple[Any, ...],
+        on_tree: Callable[[Any], Any],
+        on_list: Callable[[SequentialList], Any],
         *,
         mutating: bool,
     ) -> Any:
@@ -389,8 +365,10 @@ class ResilientListSession:
         while True:
             if self.rung == "sequential":
                 # The oracle rung: assumed fault-free (it is the thing
-                # everything else is checked against).
-                return apply_seq(self._structure)
+                # everything else is checked against).  A plain list
+                # checks nothing, so the trees' checks run first.
+                _admit_on_list(op, len(self._structure), args)
+                return on_list(self._structure)
             event = None
             if self.plan is not None and mutating:
                 event = self.plan.draw(op_index, kinds=TREE_FAULT_KINDS)
@@ -398,7 +376,7 @@ class ResilientListSession:
             rung_index = self.rung_index
 
             def thunk(attempt: int) -> Any:
-                result = apply_tree(self._structure)
+                result = on_tree(self._structure)
                 if event is not None and event.should_fire(
                     attempt=attempt, rung_index=rung_index
                 ):
@@ -413,7 +391,7 @@ class ResilientListSession:
                 return self.executor.supervise(
                     thunk,
                     tree=tree,
-                    label=f"{label}@{self.rung}",
+                    label=f"{op}@{self.rung}",
                     repair_seed=op_index,
                 )
             except RetryExhaustedError as exc:
@@ -424,76 +402,59 @@ class ResilientListSession:
 
     # -- operations -----------------------------------------------------
     def insert(self, index: int, value: Any) -> None:
-        def seq(s: _SequentialList) -> None:
-            s.items.insert(index, value)
-
         self._run(
             "insert",
+            (index,),
             lambda st: st.insert(index, value) and None,
-            seq,
+            lambda s: s.insert(index, value),
             mutating=True,
         )
 
     def delete(self, index: int) -> Any:
-        def seq(s: _SequentialList) -> Any:
-            return s.items.pop(index)
-
+        if len(self) == 1:
+            # A tree refuses this with a TreeStructureError, which the
+            # supervisor would retry and demote as a fault.  It is the
+            # client's error, the batch rule for deleting every leaf.
+            _admit_on_list("delete", 1, (index,))
         return self._run(
             "delete",
+            (index,),
             lambda st: st.delete(st.handle_at(index)),
-            seq,
+            lambda s: s.delete(index),
             mutating=True,
         )
 
     def batch_insert(self, pairs: Sequence[Tuple[int, Any]]) -> int:
-        def seq(s: _SequentialList) -> int:
-            # Pre-batch indices; equal indices land in request order,
-            # ahead of the original occupant (matches both backends).
-            n = len(s.items)
-            by_pos: Dict[int, List[Any]] = {}
-            for pos, value in pairs:
-                by_pos.setdefault(pos, []).append(value)
-            out: List[Any] = []
-            for pos in range(n + 1):
-                out.extend(by_pos.get(pos, ()))
-                if pos < n:
-                    out.append(s.items[pos])
-            s.items = out
-            return len(pairs)
-
-        def tree_apply(st: Any) -> int:
-            st.batch_insert(list(pairs))
-            return len(pairs)
-
-        return self._run("batch_insert", tree_apply, seq, mutating=True)
+        return self._run(
+            "batch_insert",
+            (pairs,),
+            lambda st: apply_on_tree(st, "insert", pairs),
+            lambda s: s.batch_insert(pairs),
+            mutating=True,
+        )
 
     def batch_delete(self, positions: Sequence[int]) -> int:
-        def seq(s: _SequentialList) -> int:
-            for pos in sorted(positions, reverse=True):
-                s.items.pop(pos)
-            return len(positions)
-
-        def tree_apply(st: Any) -> int:
-            st.batch_delete([st.handle_at(p) for p in positions])
-            return len(positions)
-
-        return self._run("batch_delete", tree_apply, seq, mutating=True)
+        return self._run(
+            "batch_delete",
+            (positions,),
+            lambda st: apply_on_tree(st, "delete", positions),
+            lambda s: s.batch_delete(positions),
+            mutating=True,
+        )
 
     def batch_set(self, pairs: Sequence[Tuple[int, Any]]) -> int:
-        def seq(s: _SequentialList) -> int:
-            for pos, value in pairs:
-                s.items[pos] = value
-            return len(pairs)
-
-        def tree_apply(st: Any) -> int:
-            st.batch_set([(st.handle_at(p), v) for p, v in pairs])
-            return len(pairs)
-
-        return self._run("batch_set", tree_apply, seq, mutating=True)
+        return self._run(
+            "batch_set",
+            (pairs,),
+            lambda st: apply_on_tree(st, "set", pairs),
+            lambda s: s.batch_set(pairs),
+            mutating=True,
+        )
 
     def prefix(self, index: int) -> Any:
         return self._run(
             "prefix",
+            (index,),
             lambda st: st.prefix(st.handle_at(index)),
             lambda s: s.prefix(index),
             mutating=False,
@@ -502,6 +463,7 @@ class ResilientListSession:
     def range_fold(self, i: int, j: int) -> Any:
         return self._run(
             "range_fold",
+            (i, j),
             lambda st: st.range_fold(st.handle_at(i), st.handle_at(j)),
             lambda s: s.range_fold(i, j),
             mutating=False,
@@ -509,5 +471,57 @@ class ResilientListSession:
 
     def total(self) -> Any:
         return self._run(
-            "total", lambda st: st.total(), lambda s: s.total(), mutating=False
+            "total", (), lambda st: st.total(), lambda s: s.total(),
+            mutating=False,
         )
+
+
+def apply_on_tree(st: Any, verb: str, payload: Sequence[Any]) -> int:
+    """Apply one positional batch to a tree rung's
+    :class:`IncrementalListPrefix`: ``"insert"`` ``(pos, value)`` pairs
+    as they are, ``"delete"`` positions and ``"set"`` ``(pos, value)``
+    pairs through ``handle_at``.  The session's supervised attempts and
+    the quarantine prober both apply through here."""
+    if verb == "insert":
+        st.batch_insert(list(payload))
+    elif verb == "delete":
+        st.batch_delete([st.handle_at(p) for p in payload])
+    else:
+        st.batch_set([(st.handle_at(p), v) for p, v in payload])
+    return len(payload)
+
+
+def _leaf_position(index: Any, n: int) -> int:
+    """The range check ``leaf_at`` makes on a tree rung.  A ``bool``
+    passes it (``True`` is leaf 1 there), so the int is returned."""
+    if not 0 <= index < n:
+        raise PositionError(f"leaf index {index} out of range")
+    return int(index)
+
+
+def _refuse(verb: str, batch: Sequence[Any], rejections: Sequence[Any]) -> None:
+    if rejections:
+        raise batch_validation_error(rejections, len(batch), verb=verb)
+
+
+def _admit_on_list(op: str, n: int, args: Tuple[Any, ...]) -> None:
+    """Raise what a tree rung of ``n`` leaves raises for a request it
+    refuses: ``leaf_at``'s range check for each position a tree
+    translates to a handle, then the tree's batch validator (on the
+    translated positions, so ``True`` and ``1`` name the same leaf)."""
+    if op == "insert":
+        if not 0 <= args[0] <= n:
+            raise PositionError(f"insert position {args[0]} out of range")
+    elif op == "batch_insert":
+        _refuse("batch_insert", args[0], validate_batch_insert(n, args[0]))
+    elif op in ("delete", "batch_delete"):
+        at = [_leaf_position(p, n) for p in (args if op == "delete" else args[0])]
+        _refuse(op, at, validate_positions("delete", n, at))
+    elif op == "batch_set":
+        for p, _value in args[0]:
+            _leaf_position(p, n)
+    elif op == "range_fold":
+        if _leaf_position(args[0], n) > _leaf_position(args[1], n):
+            raise RequestError("range_fold endpoints out of order")
+    elif op == "prefix":
+        _leaf_position(args[0], n)

@@ -35,7 +35,7 @@ from ..errors import InvalidParameterError
 from ..pram.machine import Machine
 from ..pram.memory import SharedMemory, WritePolicy
 from ..pram.ops import Local, Program
-from ..transactions import FlatJournal, ReferenceJournal
+from ..snapshots.core import FlatSnapshot, ReferenceSnapshot
 
 __all__ = [
     "FAULT_KINDS",
@@ -386,27 +386,30 @@ def corrupt_journaled_cell(tree: Any, event: FaultEvent) -> Optional[str]:
 
     The damage is guaranteed to be removed by ``_txn_rollback``: flat
     targets are slots with a 12-column pre-image in
-    :class:`~repro.transactions.FlatJournal` (or slots born inside the
-    transaction, which truncation discards); reference targets are
+    :class:`~repro.snapshots.core.FlatSnapshot` (or slots born inside
+    the transaction, which truncation discards); reference targets are
     nodes with a ``meta`` pre-image in
-    :class:`~repro.transactions.ReferenceJournal`.  Returns a
+    :class:`~repro.snapshots.core.ReferenceSnapshot`.  Returns a
     description of the fired fault, or ``None`` when the journal offers
     no live target (the fault fizzles — nothing was corrupted).
     """
     # The innermost open snapshot (``tree._txn``) — not the recording
     # seam ``tree._journal``, which may be a fanout when transactions
-    # nest (repro.snapshots.core).
+    # nest (repro.snapshots.core).  A pinned reader's snapshot owns no
+    # rollback, so nothing is corrupted under it.
     journal = getattr(tree, "_txn", None)
-    if journal is None:
+    if journal is None or journal.pinned:
         return None
-    if isinstance(journal, FlatJournal):
+    if isinstance(journal, FlatSnapshot):
         return _corrupt_flat(tree, journal, event)
-    if isinstance(journal, ReferenceJournal):
+    if isinstance(journal, ReferenceSnapshot):
         return _corrupt_reference(tree, journal, event)
     return None
 
 
-def _corrupt_flat(tree: Any, journal: FlatJournal, event: FaultEvent) -> Optional[str]:
+def _corrupt_flat(
+    tree: Any, journal: FlatSnapshot, event: FaultEvent
+) -> Optional[str]:
     saved = [s for s in sorted(journal.saved) if _flat_is_live(tree, s)]
     born = [
         s
@@ -441,7 +444,7 @@ def _corrupt_flat(tree: Any, journal: FlatJournal, event: FaultEvent) -> Optiona
 
 
 def _corrupt_reference(
-    tree: Any, journal: ReferenceJournal, event: FaultEvent
+    tree: Any, journal: ReferenceSnapshot, event: FaultEvent
 ) -> Optional[str]:
     metas = [
         e for e in journal.entries if e[0] == "meta" and _ref_is_live(tree, e[1])
@@ -452,7 +455,7 @@ def _corrupt_reference(
     kind = event.kind
     if kind == "stale-epoch":
         for entry in _rotated(metas, pick):
-            _, v, n, h, _summary, _shortcuts = entry
+            _, v, n, h, _depth, _summary, _shortcuts = entry
             if v.height != h:
                 v.height = h
                 return f"stale-epoch: node {v.nid} height reverted to {h}"

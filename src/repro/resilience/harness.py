@@ -6,8 +6,9 @@ profile), drives it through a :class:`~.executor.ResilientListSession`
 under a :class:`~.faults.FaultPlan`, and interleaves a supervised PRAM
 parallel-sum reduction on a :class:`~.faults.FaultyMachine` — so all
 three fault families (machine, memory, tree) hit the same run.  It then
-replays the *same* program on a plain Python list with the ring's
-monoid fold (the oracle, which uses nothing of the layer under
+replays the *same* program on a
+:class:`~repro.baselines.sequential_list.SequentialList` with the
+ring's monoid fold (the oracle, which uses nothing of the layer under
 test) and checks the recovery contract: every operation either
 
 (a) **completes** identically to the oracle — answers and final values
@@ -42,14 +43,15 @@ from typing import (
     Union,
 )
 
-from ..algebra.monoid import Monoid, sum_monoid
+from ..algebra.monoid import sum_monoid
+from ..baselines.sequential_list import SequentialList
 from ..errors import CorruptionDetectedError, RetryExhaustedError
 from ..pram.memory import WritePolicy
 from ..pram.ops import Fork, Program, Read, Write
 from ..testing.corpus import Exercise, Outcome, check_expect, entry, take
 from ..testing.executor import initial_values
 from ..testing.generator import generate
-from ..testing.ops import FUZZ_RINGS, OpSequence, norm_value
+from ..testing.ops import FUZZ_RINGS, OpSequence, norm_positions, norm_value
 from .executor import ResiliencePolicy, ResilientExecutor, ResilientListSession
 from .faults import (
     MACHINE_FAULT_KINDS,
@@ -207,65 +209,8 @@ def pram_sum(
 # ---------------------------------------------------------------------------
 
 
-def _norm_positions(raw: Sequence[int], n: int, *, dedupe: bool) -> List[int]:
-    out: List[int] = []
-    seen = set()
-    for p in raw:
-        q = int(p) % n
-        if dedupe:
-            if q in seen:
-                continue
-            seen.add(q)
-        out.append(q)
-    return out
-
-
-class _PlainList:
-    """The recovery oracle: a Python list and the ring's monoid fold,
-    with the position semantics of the session's list API."""
-
-    def __init__(self, monoid: Monoid, values: Sequence[Any]) -> None:
-        self.monoid = monoid
-        self.items = list(values)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def insert(self, index: int, value: Any) -> None:
-        self.items.insert(index, value)
-
-    def delete(self, index: int) -> None:
-        self.items.pop(index)
-
-    def batch_insert(self, pairs: Sequence[Tuple[int, Any]]) -> None:
-        # Pre-batch positions; equal positions land in request order,
-        # ahead of the original occupant.
-        by_pos: Dict[int, List[Any]] = {}
-        for pos, value in pairs:
-            by_pos.setdefault(pos, []).append(value)
-        out: List[Any] = []
-        for pos in range(len(self.items) + 1):
-            out.extend(by_pos.get(pos, ()))
-            out.extend(self.items[pos : pos + 1])
-        self.items = out
-
-    def batch_delete(self, positions: Sequence[int]) -> None:
-        dead = set(positions)
-        self.items = [v for i, v in enumerate(self.items) if i not in dead]
-
-    def batch_set(self, pairs: Sequence[Tuple[int, Any]]) -> None:
-        for pos, value in pairs:
-            self.items[pos] = value
-
-    def prefix(self, index: int) -> Any:
-        return self.monoid.fold(self.items[: index + 1])
-
-    def range_fold(self, i: int, j: int) -> Any:
-        return self.monoid.fold(self.items[i : j + 1])
-
-
 def _apply_op(
-    session: Union[ResilientListSession, _PlainList],
+    session: Union[ResilientListSession, SequentialList],
     seq: OpSequence,
     op: List[Any],
 ) -> List[Tuple[str, Any]]:
@@ -286,7 +231,7 @@ def _apply_op(
             session.batch_insert(reqs)
     elif kind == "bdel":
         if n >= 2:
-            idxs = _norm_positions(op[1], n, dedupe=True)[: n - 1]
+            idxs = norm_positions(op[1], n, dedupe=True)[: n - 1]
             if idxs:
                 session.batch_delete(idxs)
     elif kind == "bset":
@@ -294,7 +239,7 @@ def _apply_op(
         if updates:
             session.batch_set(updates)
     elif kind == "prefix":
-        idxs = _norm_positions(op[1], n, dedupe=False)
+        idxs = norm_positions(op[1], n, dedupe=False)
         return [(f"prefix[{i}]", session.prefix(i)) for i in idxs]
     elif kind == "range":
         i, j = int(op[1]) % n, int(op[2]) % n
@@ -448,17 +393,17 @@ def _oracle_answers(
     seq: OpSequence, aborted: Set[int]
 ) -> Tuple[List[Any], List[Tuple[int, str, Any]]]:
     """The final values and answers ``seq`` should produce, replayed on
-    a :class:`_PlainList` (skipping the ops the faulted run aborted —
-    they mutated nothing there)."""
-    model = _PlainList(sum_monoid(FUZZ_RINGS[seq.ring]), initial_values(seq))
+    a :class:`~repro.baselines.sequential_list.SequentialList` (skipping
+    the ops the faulted run aborted — they mutated nothing there)."""
+    model = SequentialList(sum_monoid(FUZZ_RINGS[seq.ring]), initial_values(seq))
     answers: List[Tuple[int, str, Any]] = []
     for op_index, op in enumerate(seq.ops):
         if op_index not in aborted:
             for label, answer in _apply_op(model, seq, op):
                 answers.append((op_index, label, answer))
         if _psum_due(seq, op_index):
-            answers.append((op_index, "psum", sum(int(v) for v in model.items)))
-    return model.items, answers
+            answers.append((op_index, "psum", sum(int(v) for v in model.values())))
+    return model.values(), answers
 
 
 def _fault_free_rng_state(seq: OpSequence) -> Any:

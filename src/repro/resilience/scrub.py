@@ -326,7 +326,6 @@ def repair(
     structural = report.by_severity("structural")
     n_sites = len(report.sites)
     saved_rng = tree._rng.getstate()
-    depth_preimages: List[Tuple[Any, int]] = []  # reference-backend depths
     journal = tree._txn_begin()
     try:
         rebuilt_leaves = 0
@@ -337,7 +336,7 @@ def repair(
             # and recompute must not trust parent pointers before then.
             anchor = _rebuild_anchor(report, structural)
             rebuilt_leaves, rebuilt_at = _rebuild_subtree(
-                tree, journal, anchor, repair_seed
+                tree, anchor, repair_seed
             )
             report = scrub(tree)
             leftover = report.by_severity("structural") + report.by_severity("fatal")
@@ -346,14 +345,10 @@ def repair(
                     "structural damage survived rebuild: "
                     + "; ".join(str(s) for s in leftover)
                 )
-        recomputed = _recompute_meta(
-            tree, journal, report, report.by_severity("meta"), depth_preimages
-        )
+        recomputed = _recompute_meta(tree, report, report.by_severity("meta"))
         tree._rng.setstate(saved_rng)
         tree.check_invariants()
     except BaseException as exc:
-        for v, d in depth_preimages:
-            v.depth = d
         tree._txn_rollback(journal)
         if isinstance(exc, RepairFailedError):
             raise
@@ -365,14 +360,12 @@ def repair(
 
 
 def _recompute_meta(
-    tree: Any,
-    journal: Any,
-    report: ScrubReport,
-    meta_sites: Sequence[ScrubSite],
-    depth_preimages: List[Tuple[Any, int]],
+    tree: Any, report: ScrubReport, meta_sites: Sequence[ScrubSite]
 ) -> int:
-    """Write the shadow values back at every meta site (pre-imaging each
-    cell into ``journal`` first).  Bit-identical restoration."""
+    """Write the shadow values back at every meta site, pre-imaging each
+    cell through the recording seam ``tree._journal`` first, so every
+    open snapshot (the repair's own and any enclosing checkpoint) can
+    rewind it.  Bit-identical restoration."""
     flat = _is_flat(tree)
     recomputed = 0
     # Deepest-first is not required (shadow values are already final),
@@ -385,7 +378,7 @@ def _recompute_meta(
         node = site.node
         n_sh, h_sh, d_sh, s_sh = report.shadow[node]
         if flat:
-            journal.save_slot(tree, node)
+            tree._journal.save_slot(tree, node)
             if site.field == "n_leaves":
                 tree._n_leaves[node] = n_sh
             elif site.field == "height":
@@ -397,15 +390,12 @@ def _recompute_meta(
             else:  # shortcuts
                 tree._shortcuts[node] = _expected_shortcuts(tree, report, node)
         else:
-            journal.record_meta([node])
+            tree._journal.record_meta([node])
             if site.field == "n_leaves":
                 node.n_leaves = n_sh
             elif site.field == "height":
                 node.height = h_sh
             elif site.field == "depth":
-                # ReferenceJournal.record_meta does not cover ``depth``;
-                # keep a manual pre-image for rollback fidelity.
-                depth_preimages.append((node, node.depth))
                 node.depth = d_sh
             elif site.field == "summary":
                 node.summary = s_sh
@@ -465,7 +455,7 @@ def _rebuild_anchor(report: ScrubReport, structural: Sequence[ScrubSite]) -> Any
 
 
 def _rebuild_subtree(
-    tree: Any, journal: Any, anchor: Any, repair_seed: int
+    tree: Any, anchor: Any, repair_seed: int
 ) -> Tuple[int, str]:
     """Discard and randomly rebuild the subtree at ``anchor`` (§2,
     Theorems 2.2/2.3) under a dedicated repair RNG.  The master RNG is

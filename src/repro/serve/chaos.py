@@ -16,7 +16,8 @@ The gate (one run = one verdict):
   else appears in none;
 * **never corrupt shard state** — post-run ``check_invariants`` per
   shard, plus oracle parity: replaying each shard's ``applied_log``
-  over its initial values with the sequential batch semantics must
+  over its initial values on a
+  :class:`~repro.baselines.sequential_list.SequentialList` must
   reproduce the live structure bit-for-bit, and a final pinned read
   must match the oracle's fold;
 * **quarantine isolates exactly the poisoned requests** — no
@@ -43,12 +44,12 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..algebra.monoid import sum_monoid
 from ..algebra.rings import INTEGER
+from ..baselines.sequential_list import SequentialList, apply_phase
 from ..resilience.executor import ResiliencePolicy
 from ..resilience.faults import FaultPlan
 from ..testing.corpus import Exercise, Outcome, check_expect, entry, take
 from .clock import VirtualClock
 from .loadgen import RAW, PoisonPill, generate_specs, spec_args
-from .quarantine import _seq_apply
 from .requests import Request, ServePolicy
 from .shard import Shard
 
@@ -286,7 +287,7 @@ def run_chaos(cfg: ChaosConfig) -> ChaosReport:
         except Exception as exc:  # outcome-classification boundary
             failure = f"shard {sid}: invariant audit failed: {exc}"
             break
-        model = list(initial[sid])
+        model = SequentialList(monoid, initial[sid])
         logged: Dict[int, bool] = {}
         for verb, payload, req_ids in shard.applied_log:
             for rid in req_ids:
@@ -297,10 +298,10 @@ def run_chaos(cfg: ChaosConfig) -> ChaosReport:
                 if rid in poison_ids:
                     failure = f"shard {sid}: poisoned req {rid} committed"
                 logged[rid] = True
-            _seq_apply(verb, model, payload)
+            apply_phase(model, verb, payload)
         if failure:
             break
-        if model != shard.values():
+        if model.values() != shard.values():
             failure = (
                 f"shard {sid}: oracle divergence (acked batches do not "
                 f"reproduce the live state)"
@@ -323,9 +324,7 @@ def run_chaos(cfg: ChaosConfig) -> ChaosReport:
         read = shard.read(
             Request(req_id=10**9 + sid, shard=sid, kind="total"), clock.now()
         )
-        expect = monoid.identity
-        for v in model:
-            expect = monoid.combine(expect, v)
+        expect = model.total()
         if read.status != "applied" or read.result != expect:
             failure = (
                 f"shard {sid}: pinned total {read.result!r} != oracle "

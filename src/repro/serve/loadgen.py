@@ -16,11 +16,9 @@ traffic:
   exercises admission rejection);
 * ``deadline_s`` / ``deadline_jitter`` — per-request deadline budgets.
 
-Two asyncio drivers run the stream against a
+One asyncio driver runs the stream against a
 :class:`~repro.serve.service.BatchService`: closed-loop (``k`` workers
-each awaiting their response before the next submit) and open-loop
-(fire on a fixed arrival interval regardless of completions — the
-overload generator).
+each awaiting their response before the next submit).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "generate_specs",
     "spec_args",
     "run_closed_loop",
-    "run_open_loop",
 ]
 
 #: Raw positions live in [0, 2^16); drivers normalise mod shard length.
@@ -203,32 +200,3 @@ async def run_closed_loop(
 
     await asyncio.gather(*(worker() for _ in range(max(1, concurrency))))
     return results
-
-
-async def run_open_loop(
-    service: Any,
-    specs: Sequence[RequestSpec],
-    *,
-    interval_s: float = 0.0,
-) -> List[Any]:
-    """Fire one submit per ``interval_s`` regardless of completions —
-    arrival rate decoupled from service rate, so a slow shard's queue
-    genuinely fills (the overload generator).  Returns responses in
-    spec order."""
-    tasks: List["asyncio.Task[Any]"] = []
-    for spec in specs:
-        tasks.append(
-            asyncio.ensure_future(
-                service.submit(
-                    spec.shard,
-                    spec.kind,
-                    *spec_args(spec, len(service.shards[spec.shard])),
-                    deadline_s=spec.deadline_s,
-                )
-            )
-        )
-        if interval_s > 0.0:
-            await asyncio.sleep(interval_s)
-        else:
-            await asyncio.sleep(0)
-    return list(await asyncio.gather(*tasks))

@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
+from ..baselines.sequential_list import SequentialList, apply_phase
 from ..errors import InvalidParameterError
+from ..resilience.executor import apply_on_tree
 
 __all__ = ["QuarantineResult", "detonate_values", "quarantine_bisect"]
 
@@ -65,43 +67,6 @@ class QuarantineResult:
     exhausted: bool
 
 
-def _seq_apply(verb: str, items: List[Any], payload: Sequence[Any]) -> None:
-    """Replay one phase on a plain list copy — the same pre-batch
-    position semantics as ``ResilientListSession``'s sequential rung."""
-    if verb == "insert":
-        n = len(items)
-        by_pos = {}
-        for pos, value in payload:
-            by_pos.setdefault(pos, []).append(value)
-        out: List[Any] = []
-        for pos in range(n + 1):
-            out.extend(by_pos.get(pos, ()))
-            if pos < n:
-                out.append(items[pos])
-        items[:] = out
-    elif verb == "delete":
-        for pos in sorted(payload, reverse=True):
-            items.pop(pos)
-    elif verb == "set":
-        for pos, value in payload:
-            items[pos] = value
-    else:
-        raise InvalidParameterError(f"unknown quarantine verb {verb!r}")
-
-
-def _tree_apply(verb: str, st: Any, payload: Sequence[Any]) -> None:
-    """Apply one phase to a tree-backed structure, exactly as the
-    session's own batch lambdas do."""
-    if verb == "insert":
-        st.batch_insert(list(payload))
-    elif verb == "delete":
-        st.batch_delete([st.handle_at(p) for p in payload])
-    elif verb == "set":
-        st.batch_set([(st.handle_at(p), v) for p, v in payload])
-    else:
-        raise InvalidParameterError(f"unknown quarantine verb {verb!r}")
-
-
 class _Prober:
     """Budgeted subset prober over one session's current structure."""
 
@@ -126,10 +91,10 @@ class _Prober:
         subset = [self.payload[i] for i in idxs]
         session = self.session
         if session.rung == "sequential":
-            items = list(session._structure.items)
+            copy = SequentialList(session.monoid, session.values())
             try:
                 detonate_values(session.monoid, self.verb, subset)
-                _seq_apply(self.verb, items, subset)
+                apply_phase(copy, self.verb, subset)
             except Exception:
                 # Outcome-classification boundary: ANY escaping error
                 # means this subset must not commit.
@@ -140,7 +105,7 @@ class _Prober:
         journal = tree._txn_begin()
         try:
             detonate_values(session.monoid, self.verb, subset)
-            _tree_apply(self.verb, st, subset)
+            apply_on_tree(st, self.verb, subset)
             return True
         except Exception:
             # Outcome-classification boundary, as above.

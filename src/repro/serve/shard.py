@@ -34,9 +34,9 @@ chaos harness (:mod:`repro.serve.chaos`) drive the same code.
 
 Exactly-once audit trail: every committed phase appends ``(verb,
 payload, req_ids)`` to ``applied_log``.  The chaos oracle replays the
-log over the initial values with the sequential batch semantics and
-demands bit-equality with the live structure — an acked request that
-was lost, double-applied or re-ordered breaks the replay.
+log over the initial values on a ``SequentialList`` and demands
+bit-equality with the live structure — an acked request that was
+lost, double-applied or re-ordered breaks the replay.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..baselines.sequential_list import SequentialList, apply_phase
 from ..errors import BatchValidationError, RetryExhaustedError
 from ..resilience.executor import (
     BACKOFF_FACTOR,
@@ -54,10 +55,16 @@ from ..resilience.executor import (
 )
 from ..resilience.faults import FaultPlan
 from ..snapshots.reader import PinnedReader
-from ..transactions import (
+
+# Admission calls ``validate_batch_*`` inside ``validate_positions``;
+# the names stay importable here because perfbench/tracing.py looks
+# them up on this module (its ``serve.admit`` span).
+from ..transactions import (  # noqa: F401
+    not_position,
     validate_batch_delete,
     validate_batch_insert,
     validate_batch_update,
+    validate_positions,
 )
 from .quarantine import detonate_values, quarantine_bisect
 from .requests import Request, Response, ServePolicy
@@ -70,27 +77,6 @@ PHASE_ORDER = ("set", "delete", "insert")
 #: Each reopen of the circuit breaker multiplies its open interval
 #: (``ServePolicy.breaker_reset_s``) by this factor.
 BREAKER_BACKOFF_FACTOR = 2.0
-
-
-class _Pos:
-    """Interned position token standing in for a leaf handle during
-    admission: the same position maps to the same object, so the
-    ``id()``-based duplicate detection inside
-    :func:`~repro.transactions.validate_batch_delete` sees duplicate
-    positions exactly as it sees duplicate handles."""
-
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: int) -> None:
-        self.pos = pos
-
-
-def _not_position(x: Any) -> str:
-    """``""`` if ``x`` is a leaf position, else a note naming its type.
-    A ``bool`` is an ``int`` subclass, but ``True`` is not position 1."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return ""
-    return f" ({type(x).__name__}, not int)"
 
 
 def _new_stats() -> Dict[str, int]:
@@ -264,7 +250,9 @@ class Shard:
                 continue
             payload = [self._payload(req) for req in live]
             rejected: Dict[int, Any] = {}
-            for rej in self._admit(verb, payload):
+            # Positional admission through the shared validators
+            # (repro.transactions): per-request statuses, not a raise.
+            for rej in validate_positions(verb, len(self.session), payload):
                 rejected.setdefault(rej.index, rej)
             admitted: List[Request] = []
             admitted_payload: List[Any] = []
@@ -371,7 +359,7 @@ class Shard:
         kind = req.kind
         if kind == "prefix":
             pos = req.args[0]
-            note = _not_position(pos)
+            note = not_position(pos)
             if note or not 0 <= pos < n:
                 return Response(
                     req.req_id, self.shard_id, "rejected",
@@ -380,7 +368,7 @@ class Shard:
                 )
         elif kind == "range":
             i, j = req.args
-            note = _not_position(i) or _not_position(j)
+            note = not_position(i) or not_position(j)
             if note or not 0 <= i <= j < n:
                 return Response(
                     req.req_id, self.shard_id, "rejected",
@@ -403,10 +391,11 @@ class Shard:
             return st.total()
         if kind == "prefix":
             return st.prefix(args[0])
-        # Folded here, not by a duck-typed ``st.range_fold``: that name
-        # also reaches IncrementalListPrefix.range_fold, whose activation
-        # marks would enter the read path's effect closure (R202).
-        return self.session.monoid.fold(st.items[args[0] : args[1] + 1])
+        # Called through the class, not a duck-typed ``st.range_fold``:
+        # that name also reaches IncrementalListPrefix.range_fold, whose
+        # activation marks would enter the read path's effect closure
+        # (R202).
+        return SequentialList.range_fold(st, args[0], args[1])
 
     def _read_pinned(
         self, kind: str, args: Tuple[Any, ...], reader: PinnedReader
@@ -424,40 +413,6 @@ class Shard:
     @staticmethod
     def _payload(req: Request) -> Any:
         return req.args[0] if req.kind == "delete" else req.args
-
-    def _admit(self, verb: str, payload: Sequence[Any]) -> List[Any]:
-        """Run the phase through the shared admission validators
-        (:mod:`repro.transactions`), mapping positions to interned
-        handle stand-ins so duplicate/membership checks behave exactly
-        as they do for real leaf handles."""
-        n = len(self.session)
-        if verb == "insert":
-            return validate_batch_insert(n, payload)
-        interned: Dict[Any, _Pos] = {}
-
-        def wrap(pos: Any) -> Any:
-            if _not_position(pos):
-                return pos  # fails is_leaf -> "not-a-leaf" rejection
-            return interned.setdefault(pos, _Pos(pos))
-
-        def is_leaf(h: Any) -> bool:
-            return isinstance(h, _Pos)
-
-        def is_member(h: Any) -> bool:
-            return 0 <= h.pos < n
-
-        if verb == "delete":
-            return validate_batch_delete(
-                n,
-                [wrap(pos) for pos in payload],
-                is_leaf=is_leaf,
-                is_member=is_member,
-            )
-        return validate_batch_update(
-            [(wrap(pos), value) for pos, value in payload],
-            is_leaf=is_leaf,
-            is_member=is_member,
-        )
 
     def _retry_budget(
         self, admitted: Sequence[Request], now: float, policy: ResiliencePolicy
@@ -489,13 +444,8 @@ class Shard:
         journal-covered session calls are the only state transition).
         The detonation check fires a poisoned payload *before* any
         mutation, identically on every ladder rung."""
-        session = self.session
-        detonate_values(session.monoid, verb, payload)
-        if verb == "insert":
-            return session.batch_insert(list(payload))
-        if verb == "delete":
-            return session.batch_delete(list(payload))
-        return session.batch_set(list(payload))
+        detonate_values(self.session.monoid, verb, payload)
+        return apply_phase(self.session, verb, payload)
 
     def _quarantine(
         self,

@@ -151,8 +151,7 @@ class Snapshot:
     the recording hooks below so the snapshot accumulates exactly the
     pre-images needed to rewind.  ``restore(tree)`` rewinds without
     detaching (the snapshot keeps observing — bounded-retry
-    supervisors reuse one snapshot across attempts); ``rollback(tree)``
-    is the same rewind under its historical journal name.
+    supervisors reuse one snapshot across attempts).
     """
 
     __slots__ = ("_outer",)
@@ -174,9 +173,6 @@ class Snapshot:
     def restore(self, tree: Any) -> None:
         raise NotImplementedError
 
-    def rollback(self, tree: Any) -> None:
-        self.restore(tree)
-
 
 class ReferenceSnapshot(Snapshot):
     """Observing undo log for the pointer-graph RBSTS.
@@ -186,10 +182,11 @@ class ReferenceSnapshot(Snapshot):
     never mutated) and only splice one child pointer plus re-place the
     reused leaf objects, so the log records (a) the splice link +
     per-leaf ``(parent, depth, summary, shortcuts)`` pre-images per
-    rebuild, (b) ``(n_leaves, height, summary, shortcuts)`` pre-images
-    per repaired ancestor, (c) ``(item, summary)`` pre-images per
-    relabelled leaf.  Restore replays the log in reverse and resets the
-    RNG state, node-id counter, high-water mark and stats — and is
+    rebuild, (b) ``(n_leaves, height, depth, summary, shortcuts)``
+    pre-images per repaired ancestor or scrub-repaired node, (c)
+    ``(item, summary)`` pre-images per relabelled leaf.  Restore replays
+    the log in reverse and resets the RNG state, node-id counter,
+    high-water mark and stats — and is
     *re-armable*: the log survives the rewind, so later mutations stack
     on top and a second restore rewinds to the same capture point.
     """
@@ -233,7 +230,8 @@ class ReferenceSnapshot(Snapshot):
 
     def record_meta(self, nodes: Sequence[Any]) -> None:
         """Called by the upward/levelized repairs before mutating the
-        wound's ``n_leaves``/``height``/``summary``/``shortcuts``."""
+        wound's ``n_leaves``/``height``/``summary``/``shortcuts``, and by
+        the scrub repair before it rewrites any of those or ``depth``."""
         seen = self._meta_seen
         entries = self.entries
         for v in nodes:
@@ -241,7 +239,10 @@ class ReferenceSnapshot(Snapshot):
             if key not in seen:
                 seen.add(key)
                 entries.append(
-                    ("meta", v, v.n_leaves, v.height, v.summary, v.shortcuts)
+                    (
+                        "meta", v, v.n_leaves, v.height, v.depth, v.summary,
+                        v.shortcuts,
+                    )
                 )
 
     def record_items(self, leaves: Sequence[Any]) -> None:
@@ -279,9 +280,10 @@ class ReferenceSnapshot(Snapshot):
                         parent.right = node
                     node.parent = parent
             elif tag == "meta":
-                _, v, n, h, summary, shortcuts = entry
+                _, v, n, h, d, summary, shortcuts = entry
                 v.n_leaves = n
                 v.height = h
+                v.depth = d
                 v.summary = summary
                 v.shortcuts = shortcuts
             else:  # "items"

@@ -365,7 +365,7 @@ def exercise_pinned(seed: int, backend: str) -> str:
     with crash_points(ctl):
         for op in seq.ops[:pin_at]:
             runner.apply(op)
-        model = list(runner.model)
+        model = runner.model.values()
         want = SnapshotState.capture(lp.tree)
         crashes = runner.crashes
         with lp.tree.pinned_reader(monoid=runner.monoid) as reader:

@@ -52,9 +52,13 @@ from ..errors import (
     UnknownNodeError,
 )
 from ..pram.frames import SpanTracker
-from ..snapshots.core import txn_begin, txn_commit, txn_rollback
+from ..snapshots.core import (
+    ReferenceSnapshot,
+    txn_begin,
+    txn_commit,
+    txn_rollback,
+)
 from ..transactions import (
-    ReferenceJournal,
     execute_batch,
     validate_batch_delete,
     validate_batch_insert,
@@ -127,10 +131,10 @@ class RBSTS:
         # Transactional undo log (transactions.py); ``None`` outside a
         # batch transaction.  Set before any build so the construction
         # rebuilds never journal.
-        self._journal: Optional[ReferenceJournal] = None
+        self._journal: Optional[ReferenceSnapshot] = None
         # Innermost open snapshot in the transaction stack and the
         # MVCC epoch counter (repro.snapshots.core).
-        self._txn: Optional[ReferenceJournal] = None
+        self._txn: Optional[ReferenceSnapshot] = None
         self._snapshot_epoch = 0
         self._rng = random.Random(seed)
         self.summarizer = summarizer
@@ -762,15 +766,15 @@ class RBSTS:
     # including nested opens and the recording-seam fanout — lives in
     # repro.snapshots.core)
     # ------------------------------------------------------------------
-    def _txn_begin(self) -> ReferenceJournal:
-        journal = ReferenceJournal(self)
+    def _txn_begin(self) -> ReferenceSnapshot:
+        journal = ReferenceSnapshot(self)
         txn_begin(self, journal)
         return journal
 
-    def _txn_rollback(self, journal: ReferenceJournal) -> None:
+    def _txn_rollback(self, journal: ReferenceSnapshot) -> None:
         txn_rollback(self, journal)
 
-    def _txn_commit(self, journal: ReferenceJournal) -> None:
+    def _txn_commit(self, journal: ReferenceSnapshot) -> None:
         txn_commit(self, journal)
 
     def pinned_reader(self, *, monoid: Any = None):

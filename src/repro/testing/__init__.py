@@ -8,7 +8,8 @@ dynamic contraction requests — on one or both backends
 (``backend="reference"`` / ``backend="flat"``), cross-checked after
 every operation against
 
-* a naive recompute model (plain Python list / ``ExprTree.evaluate``),
+* a naive recompute model (``baselines.SequentialList`` /
+  ``ExprTree.evaluate``),
 * the sequential comparators in :mod:`repro.baselines`,
 * the twin backend in lockstep (shape, summaries, shortcut lists,
   batch statistics, RNG-consumption parity),

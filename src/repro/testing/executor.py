@@ -8,8 +8,9 @@ fixed rules — so the shrinker can re-run candidate subsequences and
 trust that failure/pass is reproducible.
 
 List scenario subjects: one :class:`~repro.listprefix.structure.
-IncrementalListPrefix` per requested backend plus a plain Python list
-(the naive model).  Contraction scenario subjects: one
+IncrementalListPrefix` per requested backend plus the naive model, a
+:class:`~repro.baselines.sequential_list.SequentialList`.  Contraction
+scenario subjects: one
 :class:`~repro.contraction.dynamic.DynamicTreeContraction` per backend
 plus a naive oracle from :data:`repro.baselines.CONTRACTION_ORACLES`
 (recompute-from-scratch by default, the sequential §1.2 comparator on
@@ -28,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..algebra.monoid import sum_monoid
 from ..errors import BudgetExceededError, InvalidParameterError
 from ..baselines import CONTRACTION_ORACLES
+from ..baselines.sequential_list import SequentialList
 from ..contraction.dynamic import DynamicTreeContraction
 from ..listprefix.structure import IncrementalListPrefix
 from ..snapshots.core import SnapshotState
@@ -36,7 +38,7 @@ from ..trees.builders import random_tree
 from ..trees.nodes import add_op, mul_op
 from .crashes import CrashController, CrashInjected, crash_points
 from .oracles import OracleViolation, assert_model, assert_twins, shape_signature
-from .ops import FUZZ_RINGS, OpSequence, norm_value
+from .ops import FUZZ_RINGS, OpSequence, norm_positions, norm_value
 
 __all__ = [
     "FailureInfo",
@@ -284,7 +286,7 @@ class _ListRunner:
         self.ring = FUZZ_RINGS[seq.ring]
         self.monoid = sum_monoid(self.ring)
         vals = initial_values(seq)
-        self.model: List[Any] = list(vals)
+        self.model = SequentialList(self.monoid, vals)
         self.subjects: Dict[str, IncrementalListPrefix] = {}
         wanted = ("reference", "flat") if backend == "both" else (backend,)
         for name in wanted:
@@ -476,19 +478,6 @@ class _ListRunner:
     def _nv(self, raw: int) -> Any:
         return norm_value(self.seq.ring, raw)
 
-    def _positions(self, raw: Sequence[int], *, dedupe: bool) -> List[int]:
-        n = len(self.model)
-        out: List[int] = []
-        seen = set()
-        for p in raw:
-            q = int(p) % n
-            if dedupe:
-                if q in seen:
-                    continue
-                seen.add(q)
-            out.append(q)
-        return out
-
     # -- op dispatch ------------------------------------------------------
     def apply(self, op: list) -> None:
         kind = op[0]
@@ -508,7 +497,7 @@ class _ListRunner:
                 # restores preserve handle identity).
                 h = lp.handle_at(pos)
                 self._mut("del", name, lp, lambda lp=lp, h=h: lp.delete(h))
-            self.model.pop(pos)
+            self.model.delete(pos)
         elif kind == "bins":
             reqs = [(int(p) % (n + 1), self._nv(v)) for p, v in op[1]]
             if not reqs:
@@ -518,19 +507,11 @@ class _ListRunner:
                     "bins", name, lp, lambda lp=lp: lp.batch_insert(reqs)
                 )
             self._compare_batch_stats("bins")
-            by_pos: Dict[int, List[Any]] = {}
-            for pos, v in reqs:  # equal indices land in request order
-                by_pos.setdefault(pos, []).append(v)
-            out: List[Any] = []
-            for pos in range(n + 1):
-                out.extend(by_pos.get(pos, ()))
-                if pos < n:
-                    out.append(self.model[pos])
-            self.model = out
+            self.model.batch_insert(reqs)
         elif kind == "bdel":
             if n < 2:
                 return
-            idxs = self._positions(op[1], dedupe=True)[: n - 1]
+            idxs = norm_positions(op[1], n, dedupe=True)[: n - 1]
             if not idxs:
                 return
             for name, lp in self.subjects.items():
@@ -541,8 +522,7 @@ class _ListRunner:
                     "bdel", name, lp, lambda lp=lp, hs=hs: lp.batch_delete(hs)
                 )
             self._compare_batch_stats("bdel")
-            dead = set(idxs)
-            self.model = [x for i, x in enumerate(self.model) if i not in dead]
+            self.model.batch_delete(idxs)
         elif kind == "bset":
             updates = [(int(p) % n, self._nv(v)) for p, v in op[1]]
             if not updates:
@@ -555,13 +535,12 @@ class _ListRunner:
                     lp,
                     lambda lp=lp, pairs=pairs: lp.batch_set(pairs),
                 )
-            for i, v in updates:
-                self.model[i] = v
+            self.model.batch_set(updates)
         elif kind == "prefix":
-            idxs = self._positions(op[1], dedupe=False)
+            idxs = norm_positions(op[1], n, dedupe=False)
             if not idxs:
                 return
-            prefixes = list(accumulate(self.model, self.monoid.combine))
+            prefixes = list(accumulate(self.model.values(), self.monoid.combine))
             expect = [prefixes[i] for i in idxs]
             for name, lp in self.subjects.items():
                 got = lp.batch_prefix([lp.handle_at(i) for i in idxs])
@@ -584,7 +563,7 @@ class _ListRunner:
             i, j = int(op[1]) % n, int(op[2]) % n
             if i > j:
                 i, j = j, i
-            expect = self.monoid.fold(self.model[i : j + 1])
+            expect = self.model.range_fold(i, j)
             for name, lp in self.subjects.items():
                 got = lp.range_fold(lp.handle_at(i), lp.handle_at(j))
                 if got != expect:
@@ -594,7 +573,7 @@ class _ListRunner:
                         f"{expect!r}",
                     )
         elif kind == "activate":
-            idxs = self._positions(op[1], dedupe=True)
+            idxs = norm_positions(op[1], n, dedupe=True)
             if not idxs:
                 return
             results = {}
@@ -653,10 +632,10 @@ class _ListRunner:
     def audit(self) -> None:
         for name, lp in self.subjects.items():
             assert_model(
-                lp.tree, self.model, monoid=self.monoid, label=name
+                lp.tree, self.model.values(), monoid=self.monoid, label=name
             )
             total = lp.total()
-            expect = self.monoid.fold(self.model)
+            expect = self.model.total()
             if total != expect:
                 raise OracleViolation(
                     "model", f"{name}: total() {total!r} != naive {expect!r}"

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 from ..errors import InvalidParameterError
 
 from ..algebra.rings import BOOLEAN, INTEGER, Ring, modular_ring
@@ -47,6 +47,7 @@ __all__ = [
     "LIST_OP_KINDS",
     "CONTRACTION_OP_KINDS",
     "OpSequence",
+    "norm_positions",
     "norm_value",
 ]
 
@@ -81,6 +82,21 @@ def norm_value(ring_name: str, raw: int) -> Any:
         return (int(raw) & 1) == 1
     # integer: small signed values, zero reachable (shrinker target).
     return (int(raw) % 101) - 50
+
+
+def norm_positions(raw: Sequence[int], n: int, *, dedupe: bool) -> List[int]:
+    """Map raw non-negative integers onto positions ``0..n-1`` in order,
+    keeping only the first occurrence of each position if ``dedupe``."""
+    out: List[int] = []
+    seen = set()
+    for p in raw:
+        q = int(p) % n
+        if dedupe:
+            if q in seen:
+                continue
+            seen.add(q)
+        out.append(q)
+    return out
 
 
 @dataclass

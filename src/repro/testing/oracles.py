@@ -2,9 +2,10 @@
 
 Three independent lines of defence, mapped to the paper in DESIGN.md §6:
 
-1. **Naive recompute** — a plain Python list (list scenario) or direct
-   ``ExprTree`` evaluation via :class:`repro.baselines.RecomputeBaseline`
-   (contraction scenario) recomputes every answer from scratch.
+1. **Naive recompute** — a :class:`repro.baselines.SequentialList`
+   (list scenario) or direct ``ExprTree`` evaluation via
+   :class:`repro.baselines.RecomputeBaseline` (contraction scenario)
+   recomputes every answer from scratch.
 2. **Lockstep twins** — reference and flat backends must be
    *bit-identical* for the same seed: :func:`shape_signature` pins
    shapes, ``n_leaves``/depth/height bookkeeping, shortcut lists (§2),

@@ -6,7 +6,8 @@ preserved afterwards — there is no well-defined state "halfway through
 a batch".  This module supplies the three pieces both backends share:
 
 1. **Admission control** (:func:`validate_batch_insert` /
-   :func:`validate_batch_delete` / :func:`validate_batch_update`):
+   :func:`validate_batch_delete` / :func:`validate_batch_update`, and
+   :func:`validate_positions`, which runs them on positions):
    RNG-free whole-batch validators producing
    :class:`~repro.errors.RequestRejection` records.  A rejected batch
    raises :func:`~repro.errors.batch_validation_error` *before any
@@ -14,8 +15,9 @@ a batch".  This module supplies the three pieces both backends share:
    ``last_batch_stats`` reset to ``{}`` so a stale previous-batch
    report cannot masquerade as this batch's outcome.
 
-2. **Journals** (:class:`ReferenceJournal` for the pointer-graph
-   backend, :class:`FlatJournal` for the struct-of-arrays backend):
+2. **Journals** (the snapshots of :mod:`repro.snapshots.core`:
+   :class:`ReferenceSnapshot` for the pointer-graph backend,
+   :class:`FlatSnapshot` for the struct-of-arrays backend):
    undo logs capturing pre-images at every mutation hook so that any
    exception escaping mid-apply restores the pre-batch state
    bit-for-bit — structure, shortcut lists, summaries,
@@ -37,11 +39,11 @@ Journal mechanics
 subtree intact (old internal nodes are never mutated) and only splice
 one child pointer plus re-place the reused leaf objects, so the log
 records (a) the splice link + per-leaf ``(parent, depth, summary,
-shortcuts)`` pre-images per rebuild, (b) ``(n_leaves, height, summary,
-shortcuts)`` pre-images per repaired ancestor, (c) ``(item, summary)``
-pre-images per relabelled leaf.  Rollback replays the log in reverse
-and restores the RNG state, node-id counter, high-water mark and
-stats.
+shortcuts)`` pre-images per rebuild, (b) ``(n_leaves, height, depth,
+summary, shortcuts)`` pre-images per repaired ancestor, (c) ``(item,
+summary)`` pre-images per relabelled leaf.  Rollback replays the log
+in reverse and restores the RNG state, node-id counter, high-water
+mark and stats.
 
 *Flat backend* — an array-epoch snapshot.  The slab only grows during
 a batch (columns are append-only apart from in-place writes), so
@@ -60,21 +62,16 @@ sees bit-identical simulated costs with journaling on.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 from .errors import RequestRejection, batch_validation_error
-from .snapshots.core import (
-    FLAT_COLUMNS as _SNAP_FLAT_COLUMNS,
-    FlatSnapshot,
-    ReferenceSnapshot,
-)
 
 __all__ = [
     "validate_batch_insert",
     "validate_batch_delete",
     "validate_batch_update",
-    "ReferenceJournal",
-    "FlatJournal",
+    "validate_positions",
+    "not_position",
     "execute_batch",
 ]
 
@@ -189,46 +186,63 @@ def validate_batch_update(
     return rejections
 
 
-# ---------------------------------------------------------------------------
-# journals — thin wrappers over the unified snapshot layer (PR 8)
-# ---------------------------------------------------------------------------
-#
-# The undo-log and column-epoch machinery that used to live here moved
-# wholesale into :mod:`repro.snapshots.core`, where the SAME classes
-# also serve as the resilience layer's checkpoints and the persistence
-# layer's capture sources.  The journal names survive as aliases so
-# PR 3-era call sites (and the fault injectors that monkey-patch
-# recording hooks) keep working unchanged.
+class _Pos:
+    """Interned position token standing in for a leaf handle during
+    positional admission: the same position maps to the same object, so
+    the ``id()``-based duplicate detection inside
+    :func:`validate_batch_delete` sees duplicate positions exactly as it
+    sees duplicate handles."""
 
-#: Canonical flat-column tuple (re-exported; source of truth lives in
-#: :mod:`repro.snapshots.core`).
-_FLAT_COLUMNS = _SNAP_FLAT_COLUMNS
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: int) -> None:
+        self.pos = pos
 
 
-class ReferenceJournal(ReferenceSnapshot):
-    """Undo log for one transactional batch on the pointer-graph RBSTS
-    — now an alias for :class:`repro.snapshots.core.ReferenceSnapshot`.
-
-    Recording hooks are called from ``RBSTS`` internals while the
-    recording seam ``tree._journal`` is installed; outside a
-    transaction it is ``None`` and every hook site is a single
-    attribute test.
-    """
-
-    __slots__ = ()
+def not_position(x: Any) -> str:
+    """``""`` if ``x`` is a leaf position, else a note naming its type.
+    A ``bool`` is an ``int`` subclass, but ``True`` is not position 1."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return ""
+    return f" ({type(x).__name__}, not int)"
 
 
-class FlatJournal(FlatSnapshot):
-    """Epoch snapshot + lazy per-slot pre-images for ``FlatRBSTS`` —
-    now an alias for :class:`repro.snapshots.core.FlatSnapshot`.
+def validate_positions(
+    verb: str, n_leaves: int, payload: Sequence[Any]
+) -> List[RequestRejection]:
+    """Validate one positional batch phase — ``"insert"`` ``(pos,
+    value)`` pairs, ``"delete"`` positions or ``"set"`` ``(pos, value)``
+    pairs — against a sequence of ``n_leaves`` leaves, with the
+    validators above: positions are interned into handle stand-ins, so
+    the duplicate, membership and delete-all-leaves checks behave
+    exactly as they do for real leaf handles."""
+    if verb == "insert":
+        return validate_batch_insert(n_leaves, payload)
+    interned: Dict[Any, _Pos] = {}
 
-    Slots created during the transaction live past the snapshot length
-    and are discarded by column truncation; pre-existing slots get one
-    12-column pre-image captured at their first mutation.  The free
-    list is restored with the min-length tail trick (module docstring).
-    """
+    def wrap(pos: Any) -> Any:
+        if not_position(pos):
+            return pos  # fails is_leaf -> "not-a-leaf" rejection
+        return interned.setdefault(pos, _Pos(pos))
 
-    __slots__ = ()
+    def is_leaf(h: Any) -> bool:
+        return isinstance(h, _Pos)
+
+    def is_member(h: _Pos) -> bool:
+        return 0 <= h.pos < n_leaves
+
+    if verb == "delete":
+        return validate_batch_delete(
+            n_leaves,
+            [wrap(pos) for pos in payload],
+            is_leaf=is_leaf,
+            is_member=is_member,
+        )
+    return validate_batch_update(
+        [(wrap(pos), value) for pos, value in payload],
+        is_leaf=is_leaf,
+        is_member=is_member,
+    )
 
 
 # ---------------------------------------------------------------------------

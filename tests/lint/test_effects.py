@@ -689,28 +689,30 @@ def _timed(root: Path, cache_file: Path) -> float:
 # ---------------------------------------------------------------------------
 
 
-def test_repo_is_effect_clean():
-    report = run_effects(
+@pytest.fixture(scope="module")
+def repo_report():
+    """One cold pass over ``src/repro``, shared by the repo checks."""
+    return run_effects(
         repo_root(), ["src/repro"], REPO_CONFIG, use_cache=False
     )
+
+
+def test_repo_is_effect_clean(repo_report):
+    report = repo_report
     assert report.clean, "\n".join(str(f) for f in report.findings)
 
 
-def test_repo_r201_is_clean_without_allowlist():
+def test_repo_r201_is_clean_without_allowlist(repo_report):
     """No wall clock or unseeded draw is reachable from any entry, so
     R201 needs no exemption: the serve frontend's MonotonicClock stays
     outside every batch closure."""
     assert not REPO_CONFIG.effect_allowlist.get("R201")
-    report = run_effects(
-        repo_root(), ["src/repro"], REPO_CONFIG, use_cache=False
-    )
+    report = repo_report
     assert not _by_rule(report, "R201")
 
 
-def test_repo_entries_all_resolve():
-    report = run_effects(
-        repo_root(), ["src/repro"], REPO_CONFIG, use_cache=False
-    )
+def test_repo_entries_all_resolve(repo_report):
+    report = repo_report
     assert not [
         f for f in report.findings if "registry drift" in f.message
     ]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.monoid import max_monoid, min_monoid, sum_monoid
 from repro.algebra.rings import INTEGER
+from repro.baselines.sequential_list import SequentialList
 from repro.errors import RequestError
 from repro.listprefix.structure import IncrementalListPrefix
 from repro.pram.frames import SpanTracker
@@ -99,22 +100,15 @@ def test_inserts_deletes_updates_keep_prefixes():
     rng = random.Random(0)
     values = [rng.randint(-9, 9) for _ in range(60)]
     lp = sum_lp(values, seed=1)
-    model = list(values)
+    oracle = SequentialList(sum_monoid(INTEGER), values)
     for round_ in range(12):
-        reqs = [(rng.randint(0, len(model)), rng.randint(-9, 9)) for _ in range(3)]
+        reqs = [(rng.randint(0, len(oracle)), rng.randint(-9, 9)) for _ in range(3)]
         lp.batch_insert(reqs)
-        by_pos = {}
-        for pos, v in reqs:
-            by_pos.setdefault(pos, []).append(v)
-        out = []
-        for pos in range(len(model) + 1):
-            out.extend(by_pos.get(pos, []))
-            if pos < len(model):
-                out.append(model[pos])
-        model = out
-        victims_idx = rng.sample(range(len(model)), 2)
+        oracle.batch_insert(reqs)
+        victims_idx = rng.sample(range(len(oracle)), 2)
         lp.batch_delete([lp.handle_at(i) for i in victims_idx])
-        model = [x for i, x in enumerate(model) if i not in set(victims_idx)]
+        oracle.batch_delete(victims_idx)
+        model = oracle.values()
         assert lp.values() == model
         prefixes = list(itertools.accumulate(model))
         sample = rng.sample(range(len(model)), 5)

@@ -104,3 +104,32 @@ def test_repair_determinism(backend):
             [(h.depth, h.item) for h in lp.handles()]
         )
     assert shapes[0] == shapes[1]
+
+
+def _internal_cell(tree, field):
+    """(read, write) of ``field`` on the root's left child, an internal
+    node below the root."""
+    if hasattr(tree, "root_index"):
+        slot = tree._left[tree.root_index]
+        column = getattr(tree, f"_{field}")
+        return (lambda: column[slot]), (lambda v: column.__setitem__(slot, v))
+    node = tree.root.left
+    return (lambda: getattr(node, field)), (lambda v: setattr(node, field, v))
+
+
+@pytest.mark.parametrize("field", ["depth", "summary", "n_leaves"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_nested_repair_is_rewound_by_the_enclosing_checkpoint(backend, field):
+    """A repair inside an open checkpoint writes its pre-images through
+    the recording seam, so rewinding the checkpoint undoes the repair:
+    the supervisor's exhaustion path restores the pre-call state bit
+    for bit."""
+    tree = make(backend).tree
+    read, write = _internal_cell(tree, field)
+    write(read() + 5)
+    damaged = read()
+    outer = tree._txn_begin()
+    rep = repair(tree)
+    assert rep.recomputed >= 1 and read() == damaged - 5
+    tree._txn_rollback(outer)
+    assert read() == damaged

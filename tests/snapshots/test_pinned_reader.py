@@ -18,6 +18,7 @@ import pytest
 
 from repro.algebra.monoid import Monoid, max_monoid, sum_monoid
 from repro.algebra.rings import INTEGER
+from repro.baselines.sequential_list import SequentialList
 from repro.contraction.dynamic import DynamicTreeContraction
 from repro.errors import BatchPositionError, InvalidParameterError
 from repro.listprefix.structure import IncrementalListPrefix
@@ -167,20 +168,6 @@ def _fold(values):
     return acc
 
 
-def _apply_inserts(model, reqs):
-    """Model of batch_insert: indices address the pre-batch list and
-    equal indices land in request order."""
-    by_pos = {}
-    for pos, v in reqs:
-        by_pos.setdefault(pos, []).append(v)
-    out = []
-    for pos in range(len(model) + 1):
-        out.extend(by_pos.get(pos, ()))
-        if pos < len(model):
-            out.append(model[pos])
-    return out
-
-
 def _check_all_pairs(reader, expected):
     assert len(reader) == len(expected)
     assert reader.total() == _fold(expected)
@@ -213,15 +200,16 @@ def _check_some_pairs(reader, expected, rng, samples):
 def _churn(lp, model, rng, *, inserts, deletes):
     """One rebuilding insert batch then one delete batch on the live
     structure; returns the updated model and the rebuild mass."""
+    oracle = SequentialList(AFFINE, model)
     reqs = [(rng.randrange(len(model) + 1), _value(rng)) for _ in range(inserts)]
     lp.batch_insert(reqs)
     mass = lp.tree.last_batch_stats["rebuild_mass"]
-    model = _apply_inserts(model, reqs)
-    dead = sorted(rng.sample(range(len(model)), deletes))
+    oracle.batch_insert(reqs)
+    dead = sorted(rng.sample(range(len(oracle)), deletes))
     lp.batch_delete([lp.handle_at(i) for i in dead])
     mass += lp.tree.last_batch_stats["rebuild_mass"]
-    gone = set(dead)
-    return [v for i, v in enumerate(model) if i not in gone], mass
+    oracle.batch_delete(dead)
+    return oracle.values(), mass
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

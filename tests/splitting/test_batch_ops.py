@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
+from repro.baselines.sequential_list import SequentialList
 from repro.errors import RequestError, TreeStructureError
 from repro.pram.frames import SpanTracker
 from repro.splitting.build import Summarizer
@@ -20,15 +21,9 @@ def summed(items, seed=0):
 
 
 def batch_insert_oracle(items, requests):
-    by_pos = {}
-    for pos, it in requests:
-        by_pos.setdefault(pos, []).append(it)
-    out = []
-    for pos in range(len(items) + 1):
-        out.extend(by_pos.get(pos, []))
-        if pos < len(items):
-            out.append(items[pos])
-    return out
+    oracle = SequentialList(sum_monoid(INTEGER), items)
+    oracle.batch_insert(requests)
+    return oracle.values()
 
 
 @given(
@@ -144,14 +139,15 @@ def test_batch_span_grows_sublinearly_in_u():
 def test_interleaved_batches_stay_consistent():
     rng = random.Random(8)
     t = summed(range(100), seed=8)
-    model = list(range(100))
+    oracle = SequentialList(sum_monoid(INTEGER), range(100))
     for round_ in range(15):
-        reqs = [(rng.randint(0, len(model)), 10_000 + round_ * 100 + i) for i in range(5)]
+        reqs = [(rng.randint(0, len(oracle)), 10_000 + round_ * 100 + i) for i in range(5)]
         t.batch_insert(reqs)
-        model = batch_insert_oracle(model, reqs)
-        idxs = rng.sample(range(len(model)), 4)
+        oracle.batch_insert(reqs)
+        idxs = rng.sample(range(len(oracle)), 4)
         victims = [t.leaf_at(i) for i in idxs]
         t.batch_delete(victims)
-        model = [x for i, x in enumerate(model) if i not in set(idxs)]
+        oracle.batch_delete(idxs)
+        model = oracle.values()
         assert [l.item for l in t.leaves()] == model
         t.check_invariants()

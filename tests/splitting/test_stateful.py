@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
+from repro.baselines.sequential_list import SequentialList
 from repro.splitting.activation import activate, ancestors_closure, deactivate
 from repro.splitting.build import Summarizer
 from repro.splitting.rbsts import RBSTS
@@ -26,7 +27,7 @@ class RBSTSMachine(RuleBasedStateMachine):
         seed=st.integers(0, 1000),
     )
     def setup(self, items, seed):
-        self.model = list(items)
+        self.oracle = SequentialList(sum_monoid(INTEGER), items)
         self.tree = RBSTS(
             items,
             seed=seed,
@@ -34,11 +35,15 @@ class RBSTSMachine(RuleBasedStateMachine):
         )
         self.ops = 0
 
+    @property
+    def model(self):
+        return self.oracle.values()
+
     @rule(data=st.data(), value=st.integers(-50, 50))
     def insert_single(self, data, value):
         pos = data.draw(st.integers(0, len(self.model)))
         self.tree.insert(pos, value)
-        self.model.insert(pos, value)
+        self.oracle.insert(pos, value)
         self.ops += 1
 
     @rule(data=st.data())
@@ -46,7 +51,7 @@ class RBSTSMachine(RuleBasedStateMachine):
     def delete_single(self, data):
         pos = data.draw(st.integers(0, len(self.model) - 1))
         item = self.tree.delete(self.tree.leaf_at(pos))
-        assert item == self.model.pop(pos)
+        assert item == self.oracle.delete(pos)
         self.ops += 1
 
     @rule(data=st.data())
@@ -57,15 +62,7 @@ class RBSTSMachine(RuleBasedStateMachine):
             for _ in range(k)
         ]
         self.tree.batch_insert(reqs)
-        by_pos = {}
-        for pos, v in reqs:
-            by_pos.setdefault(pos, []).append(v)
-        out = []
-        for pos in range(len(self.model) + 1):
-            out.extend(by_pos.get(pos, []))
-            if pos < len(self.model):
-                out.append(self.model[pos])
-        self.model = out
+        self.oracle.batch_insert(reqs)
         self.ops += 1
 
     @rule(data=st.data())
@@ -81,14 +78,14 @@ class RBSTSMachine(RuleBasedStateMachine):
             )
         )
         self.tree.batch_delete([self.tree.leaf_at(i) for i in idxs])
-        self.model = [x for i, x in enumerate(self.model) if i not in set(idxs)]
+        self.oracle.batch_delete(idxs)
         self.ops += 1
 
     @rule(data=st.data(), value=st.integers(-50, 50))
     def update_value(self, data, value):
         pos = data.draw(st.integers(0, len(self.model) - 1))
         self.tree.update_leaf_item(self.tree.leaf_at(pos), value)
-        self.model[pos] = value
+        self.oracle.batch_set([(pos, value)])
 
     @rule(data=st.data())
     def activate_some(self, data):

@@ -19,7 +19,6 @@ def test_all_errors_derive_from_repro_error():
         "TreeStructureError",
         "NotALeafError",
         "UnknownNodeError",
-        "AlgebraError",
         "RequestError",
     ):
         cls = getattr(errors, name)

@@ -1,6 +1,6 @@
 """Hypothesis stateful test (ISSUE satellite a): arbitrary interleavings
 of batch inserts / deletes / relabels on :class:`IncrementalListPrefix`
-against a naive-recompute oracle (plain Python list + ``itertools``
+against a naive-recompute oracle (a ``SequentialList`` + ``itertools``
 prefix folds), with both backends driven in lockstep.
 
 Reuses the shared ring strategies from ``tests/conftest.py``.
@@ -21,6 +21,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.algebra.monoid import sum_monoid
+from repro.baselines.sequential_list import SequentialList
 from repro.listprefix.structure import IncrementalListPrefix
 from repro.testing.oracles import assert_twins
 
@@ -40,13 +41,17 @@ class ListPrefixOracleMachine(RuleBasedStateMachine):
     )
     def setup(self, items, seed):
         self.monoid = sum_monoid(RING)
-        self.model = list(items)
+        self.oracle = SequentialList(self.monoid, items)
         self.subjects = {
             name: IncrementalListPrefix(
                 self.monoid, items, seed=seed, backend=name
             )
             for name in ("reference", "flat")
         }
+
+    @property
+    def model(self):
+        return self.oracle.values()
 
     # -- updates ---------------------------------------------------------
     @rule(data=st.data())
@@ -58,15 +63,7 @@ class ListPrefixOracleMachine(RuleBasedStateMachine):
         ]
         for lp in self.subjects.values():
             lp.batch_insert(reqs)
-        by_pos: dict[int, list] = {}
-        for pos, v in reqs:
-            by_pos.setdefault(pos, []).append(v)
-        out = []
-        for pos in range(len(self.model) + 1):
-            out.extend(by_pos.get(pos, []))
-            if pos < len(self.model):
-                out.append(self.model[pos])
-        self.model = out
+        self.oracle.batch_insert(reqs)
 
     @rule(data=st.data())
     @precondition(lambda self: len(self.model) > 3)
@@ -82,8 +79,7 @@ class ListPrefixOracleMachine(RuleBasedStateMachine):
         )
         for lp in self.subjects.values():
             lp.batch_delete([lp.handle_at(i) for i in idxs])
-        dead = set(idxs)
-        self.model = [x for i, x in enumerate(self.model) if i not in dead]
+        self.oracle.batch_delete(idxs)
 
     @rule(data=st.data())
     def batch_relabel(self, data):
@@ -101,8 +97,7 @@ class ListPrefixOracleMachine(RuleBasedStateMachine):
             lp.batch_set(
                 [(lp.handle_at(i), v) for i, v in zip(idxs, vals)]
             )
-        for i, v in zip(idxs, vals):
-            self.model[i] = v
+        self.oracle.batch_set(list(zip(idxs, vals)))
 
     # -- queries (differential against the naive recompute) --------------
     @rule(data=st.data())
@@ -129,7 +124,7 @@ class ListPrefixOracleMachine(RuleBasedStateMachine):
     def range_query(self, data):
         i = data.draw(st.integers(0, len(self.model) - 2))
         j = data.draw(st.integers(i, len(self.model) - 1))
-        expect = self.monoid.fold(self.model[i : j + 1])
+        expect = self.oracle.range_fold(i, j)
         for name, lp in self.subjects.items():
             got = lp.range_fold(lp.handle_at(i), lp.handle_at(j))
             assert RING.eq(got, expect), f"{name}: range[{i},{j}]"
