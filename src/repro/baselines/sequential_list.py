@@ -4,9 +4,9 @@ A batch addresses the *pre-batch* sequence and is applied as one unit
 (§2, Theorems 2.2/2.3); queries are left-to-right monoid folds (§3).
 :class:`SequentialList` is that contract on a Python list, with the
 method names and argument shapes of ``ResilientListSession``.  It is
-the repository's one list model: the ladder's sequential rung, the
-quarantine prober's copy on that rung, and every list oracle.  It
-checks nothing; callers send it admitted requests only.
+the repository's one list model: the ladder's sequential rung and
+every list oracle.  It checks nothing; callers send it admitted
+requests only.
 """
 
 from __future__ import annotations

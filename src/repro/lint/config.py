@@ -81,12 +81,11 @@ EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
     )
     # -- repro.serve (PR 10): the serving layer's decision paths must be
     # as replayable as the structures they drive.  execute_window is the
-    # whole batch-apply path (admission, retry-budget, quarantine,
-    # breaker) and runs R201 only: its mutations are queue/stats/breaker
-    # bookkeeping on the shard object, not snapshot-covered tree state —
-    # the tree mutations all happen below _apply_admitted, which gets
-    # the full R201+R202 treatment, as does the quarantine prober (its
-    # probes subscript the same columns the snapshot layer restores).
+    # whole batch-apply path (admission, poison quarantine,
+    # retry-budget, breaker) and runs R201 only: its mutations are
+    # queue/stats/breaker bookkeeping on the shard object, not
+    # snapshot-covered tree state — the tree mutations all happen below
+    # _apply_admitted, which gets the full R201+R202 treatment.
     # read is the pinned-read path: deterministic, and it may write no
     # slab column a snapshot could not restore (pinning joins the stack).
     + (
@@ -95,7 +94,6 @@ EFFECT_ENTRY_POINTS: Tuple[EffectEntry, ...] = (
             rules=("R201",),
         ),
         EffectEntry("src/repro/serve/shard.py", "Shard", "_apply_admitted"),
-        EffectEntry("src/repro/serve/quarantine.py", "", "quarantine_bisect"),
         EffectEntry("src/repro/serve/shard.py", "Shard", "read"),
     )
 )
@@ -195,24 +193,14 @@ EFFECT_ALLOWLIST: Dict[str, Dict[str, str]] = {
         # Response.  Each handler below is such a boundary; the chaos
         # gate's exactly-once/oracle audits are what prove they never
         # misclassify a committed batch.
-        "src/repro/serve/quarantine.py::_Prober.probe": (
-            "outcome-classification boundary: a probe's only question "
-            "is pass/fail — ANY escape (taxonomy included) means the "
-            "subset must not commit, and the probe txn is rolled back "
-            "unconditionally in the finally"
-        ),
         "src/repro/serve/shard.py::Shard.execute_window": (
-            "outcome-classification boundary: the phase-apply triage "
-            "turns admission mismatches into rejections, exhausted "
-            "retries into failed responses, and any other escape into "
-            "the quarantine path — a window must answer every request, "
+            "outcome-classification boundary: an admission fold that "
+            "raises (taxonomy included) quarantines its request before "
+            "anything mutates, and the phase-apply triage turns "
+            "admission mismatches into rejections and exhausted retries "
+            "or any other escape into failed responses (the supervisor "
+            "already rolled back) — a window must answer every request, "
             "never crash the shard worker"
-        ),
-        "src/repro/serve/shard.py::Shard._quarantine": (
-            "outcome-classification boundary: a good-subset re-commit "
-            "that fails after bisection downgrades the subset to "
-            "failed responses (the supervisor already rolled back); "
-            "raising would crash the worker with responses unsent"
         ),
         "src/repro/serve/chaos.py::run_chaos": (
             "the chaos harness's invariant audit records a failing "

@@ -71,6 +71,7 @@ from ..snapshots.core import FlatSnapshot, txn_begin, txn_commit, txn_rollback
 from ..snapshots.reader import PinnedReader
 from ..transactions import (
     execute_batch,
+    not_position,
     validate_batch_delete,
     validate_batch_insert,
     validate_batch_update,
@@ -355,8 +356,9 @@ class FlatRBSTS:
 
     def leaf_at(self, index: int) -> FlatLeaf:
         """Order-statistic descent on the ``n_leaves`` array; O(depth)."""
-        if not 0 <= index < self.n_leaves:
-            raise PositionError(f"leaf index {index} out of range")
+        note = not_position(index)
+        if note or not 0 <= index < self.n_leaves:
+            raise PositionError(f"leaf index {index!r}{note} out of range")
         left, right, counts = self._left, self._right, self._n_leaves
         node = self.root_index
         while left[node] != NIL:
@@ -802,8 +804,9 @@ class FlatRBSTS:
     def insert(
         self, index: int, item: Any, tracker: Optional[SpanTracker] = None
     ) -> FlatLeaf:
-        if not 0 <= index <= self.n_leaves:
-            raise PositionError(f"insert position {index} out of range")
+        note = not_position(index)
+        if note or not 0 <= index <= self.n_leaves:
+            raise PositionError(f"insert position {index!r}{note} out of range")
         if self._journal is not None:
             self._journal.save_rng(self)
         left, right, counts = self._left, self._right, self._n_leaves

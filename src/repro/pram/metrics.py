@@ -49,25 +49,3 @@ class Metrics:
             self.peak_processors = active
         if phase is not None:
             self.phase_steps[phase] = self.phase_steps.get(phase, 0) + 1
-
-    def merge(self, other: "Metrics") -> None:
-        """Accumulate another metrics object into this one (sequential
-        composition: steps add, peaks take the max)."""
-        self.steps += other.steps
-        self.work += other.work
-        self.peak_processors = max(self.peak_processors, other.peak_processors)
-        self.forks += other.forks
-        self.reads += other.reads
-        self.writes += other.writes
-        for k, v in other.phase_steps.items():
-            self.phase_steps[k] = self.phase_steps.get(k, 0) + v
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "steps": self.steps,
-            "work": self.work,
-            "peak_processors": self.peak_processors,
-            "forks": self.forks,
-            "reads": self.reads,
-            "writes": self.writes,
-        }

@@ -43,7 +43,7 @@ from ..errors import (
     batch_validation_error,
 )
 from ..listprefix.structure import IncrementalListPrefix
-from ..transactions import validate_batch_insert, validate_positions
+from ..transactions import not_position, validate_batch_insert, validate_positions
 from .faults import TREE_FAULT_KINDS, FaultPlan, corrupt_journaled_cell
 from .scrub import repair, scrub
 
@@ -53,7 +53,6 @@ __all__ = [
     "ResiliencePolicy",
     "ResilientExecutor",
     "ResilientListSession",
-    "apply_on_tree",
 ]
 
 #: Growth of the simulated retry backoff: attempt ``k`` adds
@@ -428,7 +427,7 @@ class ResilientListSession:
         return self._run(
             "batch_insert",
             (pairs,),
-            lambda st: apply_on_tree(st, "insert", pairs),
+            lambda st: _apply_on_tree(st, "insert", pairs),
             lambda s: s.batch_insert(pairs),
             mutating=True,
         )
@@ -437,7 +436,7 @@ class ResilientListSession:
         return self._run(
             "batch_delete",
             (positions,),
-            lambda st: apply_on_tree(st, "delete", positions),
+            lambda st: _apply_on_tree(st, "delete", positions),
             lambda s: s.batch_delete(positions),
             mutating=True,
         )
@@ -446,7 +445,7 @@ class ResilientListSession:
         return self._run(
             "batch_set",
             (pairs,),
-            lambda st: apply_on_tree(st, "set", pairs),
+            lambda st: _apply_on_tree(st, "set", pairs),
             lambda s: s.batch_set(pairs),
             mutating=True,
         )
@@ -476,12 +475,12 @@ class ResilientListSession:
         )
 
 
-def apply_on_tree(st: Any, verb: str, payload: Sequence[Any]) -> int:
+def _apply_on_tree(st: Any, verb: str, payload: Sequence[Any]) -> int:
     """Apply one positional batch to a tree rung's
     :class:`IncrementalListPrefix`: ``"insert"`` ``(pos, value)`` pairs
     as they are, ``"delete"`` positions and ``"set"`` ``(pos, value)``
-    pairs through ``handle_at``.  The session's supervised attempts and
-    the quarantine prober both apply through here."""
+    pairs through ``handle_at``.  The session's three batch verbs
+    apply through here."""
     if verb == "insert":
         st.batch_insert(list(payload))
     elif verb == "delete":
@@ -492,11 +491,11 @@ def apply_on_tree(st: Any, verb: str, payload: Sequence[Any]) -> int:
 
 
 def _leaf_position(index: Any, n: int) -> int:
-    """The range check ``leaf_at`` makes on a tree rung.  A ``bool``
-    passes it (``True`` is leaf 1 there), so the int is returned."""
-    if not 0 <= index < n:
-        raise PositionError(f"leaf index {index} out of range")
-    return int(index)
+    """The check ``leaf_at`` makes on a tree rung."""
+    note = not_position(index)
+    if note or not 0 <= index < n:
+        raise PositionError(f"leaf index {index!r}{note} out of range")
+    return index
 
 
 def _refuse(verb: str, batch: Sequence[Any], rejections: Sequence[Any]) -> None:
@@ -506,12 +505,14 @@ def _refuse(verb: str, batch: Sequence[Any], rejections: Sequence[Any]) -> None:
 
 def _admit_on_list(op: str, n: int, args: Tuple[Any, ...]) -> None:
     """Raise what a tree rung of ``n`` leaves raises for a request it
-    refuses: ``leaf_at``'s range check for each position a tree
-    translates to a handle, then the tree's batch validator (on the
-    translated positions, so ``True`` and ``1`` name the same leaf)."""
+    refuses: ``leaf_at``'s check for each position a tree translates
+    to a handle, then the tree's batch validator."""
     if op == "insert":
-        if not 0 <= args[0] <= n:
-            raise PositionError(f"insert position {args[0]} out of range")
+        note = not_position(args[0])
+        if note or not 0 <= args[0] <= n:
+            raise PositionError(
+                f"insert position {args[0]!r}{note} out of range"
+            )
     elif op == "batch_insert":
         _refuse("batch_insert", args[0], validate_batch_insert(n, args[0]))
     elif op in ("delete", "batch_delete"):

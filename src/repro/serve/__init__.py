@@ -6,15 +6,14 @@ per-shard requests into batch windows admitted through
 :mod:`repro.transactions` and executed under the PR 5 resilience
 ladder.  Around that sits the robustness layer: per-request deadlines
 with retry-budget propagation, bounded queues with seeded
-load shedding, per-shard circuit breakers, poisoned-batch quarantine
-(snapshot rollback + ddmin bisection), and pinned-epoch reads via
+load shedding, per-shard circuit breakers, poison quarantine at
+admission, and pinned-epoch reads via
 :func:`repro.snapshots.pinned_reader`.  The whole core is synchronous
 and clock-free; :mod:`repro.serve.chaos` drives it deterministically
 (``make fuzz-serve``).
 """
 
 from .clock import MonotonicClock, VirtualClock
-from .quarantine import QuarantineResult, quarantine_bisect
 from .requests import (
     READ_KINDS,
     STATUSES,
@@ -37,7 +36,5 @@ __all__ = [
     "MonotonicClock",
     "PHASE_ORDER",
     "Shard",
-    "QuarantineResult",
-    "quarantine_bisect",
     "BatchService",
 ]

@@ -22,9 +22,7 @@ The gate (one run = one verdict):
   must match the oracle's fold;
 * **quarantine isolates exactly the poisoned requests** — no
   :class:`~repro.serve.loadgen.PoisonPill` ever commits, and every
-  quarantined ack names a request that carried one (under an
-  exhausted probe budget over-rejection is permitted, never
-  under-rejection);
+  quarantined ack names a request that carried one;
 * **sheds and rejections are seed-deterministic** — the whole run is
   condensed into a decision digest (every response + final state) and
   the same config must produce the same digest twice.
@@ -105,7 +103,6 @@ class ChaosConfig:
     breaker_reset_s: float = 0.05
     max_retries: int = 1
     ladder: Tuple[str, ...] = ("flat", "reference", "sequential")
-    quarantine_max_probes: int = 64
 
 
 @dataclass
@@ -186,7 +183,6 @@ def _build_shards(cfg: ChaosConfig) -> Dict[int, Shard]:
         resilience=ResiliencePolicy(
             max_retries=cfg.max_retries, ladder=tuple(cfg.ladder)
         ),
-        quarantine_max_probes=cfg.quarantine_max_probes,
     )
     shards: Dict[int, Shard] = {}
     for sid in range(cfg.n_shards):
@@ -317,6 +313,9 @@ def run_chaos(cfg: ChaosConfig) -> ChaosReport:
                 failure = (
                     f"shard {sid}: req {rid} acked {resp.status} but applied"
                 )
+                break
+            if resp.status == "quarantined" and rid not in poison_ids:
+                failure = f"shard {sid}: req {rid} quarantined without a pill"
                 break
         if failure:
             break

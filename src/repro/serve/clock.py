@@ -1,8 +1,8 @@
 """Clock seam for :mod:`repro.serve`.
 
 Everything below the asyncio frontend takes ``now`` as an explicit
-float argument — the sync core (:mod:`repro.serve.shard`,
-:mod:`repro.serve.quarantine`) never reads a clock, which is what
+float argument — the sync core (:mod:`repro.serve.shard`) never
+reads a clock, which is what
 makes the chaos harness and the failure-matrix tests fully
 deterministic (and keeps the registered effect entry points free of
 R201 time-read findings).  The two clock implementations here exist

@@ -10,8 +10,8 @@ traffic:
 
 * ``poison_rate`` — fraction of insert/set values that are
   :class:`PoisonPill` payloads (arithmetic raises
-  :class:`~repro.errors.PoisonedPayloadError` — admitted by the
-  validators, detonates mid-apply, exercises quarantine);
+  :class:`~repro.errors.PoisonedPayloadError` — passes the position
+  validators, detonates in the admission fold, exercises quarantine);
 * ``invalid_rate`` — fraction of positions left raw (out of range →
   exercises admission rejection);
 * ``deadline_s`` / ``deadline_jitter`` — per-request deadline budgets.
@@ -58,12 +58,12 @@ _KIND_MAP = (
 
 
 class PoisonPill:
-    """A payload the admission validators cannot see through: it is a
+    """A payload the position validators cannot see through: it is a
     perfectly well-formed value whose *arithmetic* detonates.  Any
     attempt to combine it (summary maintenance, folds) raises
-    :class:`~repro.errors.PoisonedPayloadError`, so it passes admission
-    and crashes mid-apply — exactly the case quarantine bisection
-    exists for."""
+    :class:`~repro.errors.PoisonedPayloadError` — which is how the
+    shard's admission fold recognises it and quarantines the
+    request."""
 
     __slots__ = ("tag",)
 

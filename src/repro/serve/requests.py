@@ -19,9 +19,12 @@ the shard sequence as it stood at the *start of that phase* (exactly
 the pre-batch position semantics of
 :meth:`~repro.resilience.executor.ResilientListSession.batch_set` /
 ``batch_delete`` / ``batch_insert``, which is also what the chaos
-oracle replays).  Each phase is one transactional batch: it commits
-entirely, is quarantine-bisected (poison), or fails with shard state
-intact (infra faults after the whole degradation ladder).
+oracle replays).  Admission answers each request on its own: a
+bad position is ``rejected`` and a value whose fold with the monoid
+identity raises is ``quarantined``.  The rest of the phase is one
+transactional batch: it commits entirely, or fails with shard state
+intact (infra faults after the whole degradation ladder, or a crash
+of the apply).
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ STATUSES = (
     "shed",  # dropped by seeded load shedding (queue over highwater)
     "circuit-open",  # shard breaker open, request refused outright
     "timeout",  # deadline passed before/while the window executed
-    "quarantined",  # isolated as poisoned by bisection, not committed
-    "failed",  # window failed after the full ladder; state intact
+    "quarantined",  # value poisoned (its admission fold raised)
+    "failed",  # phase apply failed, or an earlier phase did; state intact
 )
 
 _ARITY = {
@@ -126,7 +129,7 @@ class Response:
 
 @dataclass(frozen=True)
 class ServePolicy:
-    """Knobs for batch windows, overload protection and quarantine.
+    """Knobs for batch windows and overload protection.
 
     ``max_batch`` / ``max_wait_s`` are the window's size and latency
     triggers.  The bounded queue sheds above ``shed_highwater`` fill
@@ -150,7 +153,6 @@ class ServePolicy:
     breaker_reset_s: float = 0.05
     default_deadline_s: Optional[float] = None
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
-    quarantine_max_probes: int = 64
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -163,5 +165,3 @@ class ServePolicy:
             )
         if self.breaker_threshold < 1:
             raise InvalidParameterError("breaker_threshold must be >= 1")
-        if self.quarantine_max_probes < 1:
-            raise InvalidParameterError("quarantine_max_probes must be >= 1")

@@ -23,10 +23,11 @@ it:
   charged advances the window's effective clock, so later phases see
   the time the retries cost and expire their requests instead of
   applying them late.
-* **Poisoned-batch quarantine** — an admitted phase that crashes
-  mid-apply is rolled back by the transaction layer, bisected by
-  :func:`~repro.serve.quarantine.quarantine_bisect`, and only the
-  offending requests are rejected; the surviving subset commits.
+* **Poison quarantine** — admission folds each written value once
+  with the monoid identity before anything mutates; a request whose
+  fold raises is acked ``quarantined`` and the rest of its phase
+  applies as one batch.  Positions are pre-phase positions, so
+  dropping a request never changes what the others mean.
 
 Everything here is synchronous and clock-free (``now`` is an explicit
 argument): the asyncio frontend (:mod:`repro.serve.service`) and the
@@ -66,7 +67,6 @@ from ..transactions import (  # noqa: F401
     validate_batch_update,
     validate_positions,
 )
-from .quarantine import detonate_values, quarantine_bisect
 from .requests import Request, Response, ServePolicy
 
 __all__ = ["BREAKER_BACKOFF_FACTOR", "PHASE_ORDER", "Shard"]
@@ -254,8 +254,10 @@ class Shard:
             # (repro.transactions): per-request statuses, not a raise.
             for rej in validate_positions(verb, len(self.session), payload):
                 rejected.setdefault(rej.index, rej)
+            monoid = self.session.monoid
             admitted: List[Request] = []
             admitted_payload: List[Any] = []
+            quarantined = False
             for i, req in enumerate(live):
                 if i in rejected:
                     rej = rejected[i]
@@ -264,9 +266,35 @@ class Shard:
                         reason=rej.reason, detail=rej.detail,
                     )
                     self.stats["rejections"] += 1
-                else:
-                    admitted.append(req)
-                    admitted_payload.append(payload[i])
+                    continue
+                if verb != "delete":
+                    # Fold the written value once with the identity,
+                    # before anything mutates.  The tree rungs would
+                    # detonate a poisoned value on their own, but how
+                    # early depends on the rung and the tree shape, and
+                    # the sequential rung's plain list never folds at
+                    # apply time; this one fold catches poison
+                    # identically on every rung.
+                    try:
+                        monoid.combine(monoid.identity, payload[i][1])
+                    except Exception as exc:
+                        # Outcome-classification boundary: ANY escape
+                        # from the fold marks the request poisoned.
+                        out[req.req_id] = Response(
+                            req.req_id, self.shard_id, "quarantined",
+                            reason="poisoned-payload",
+                            detail=f"{type(exc).__name__}: {exc}",
+                        )
+                        self.stats["quarantined"] += 1
+                        quarantined = True
+                        continue
+                admitted.append(req)
+                admitted_payload.append(payload[i])
+            if quarantined:
+                self.stats["quarantines"] += 1
+                # Isolating poison is progress for the breaker, even
+                # when nothing of the phase is left to apply.
+                committed_any = True
             if not admitted:
                 continue
             executor = self.session.executor
@@ -289,31 +317,26 @@ class Shard:
                         )
                     self.stats["rejections"] += len(admitted)
                     continue
-                except RetryExhaustedError as exc:
-                    # Infrastructure failure after the whole ladder:
-                    # pre-phase state is intact; abort the window.
+                except Exception as exc:
+                    # Outcome-classification boundary: exhausted retries
+                    # (an infrastructure failure after the whole ladder)
+                    # or any other escape.  On a tree rung the
+                    # supervisor has rolled the phase back; abort the
+                    # window.
+                    reason = (
+                        "retries-exhausted"
+                        if isinstance(exc, RetryExhaustedError)
+                        else "apply-crashed"
+                    )
                     for req in admitted:
                         out[req.req_id] = Response(
                             req.req_id, self.shard_id, "failed",
-                            reason="retries-exhausted", detail=str(exc),
+                            reason=reason,
+                            detail=f"{type(exc).__name__}: {exc}",
                         )
                     self.stats["failed_windows"] += 1
                     window_failed = True
                     aborted = True
-                    continue
-                except Exception as exc:
-                    # Outcome-classification boundary: an admitted batch
-                    # detonated mid-apply (poisoned payload).  The
-                    # transaction layer already rolled the phase back;
-                    # bisect and commit the innocent subset.
-                    if self._quarantine(
-                        verb, admitted, admitted_payload, exc, out
-                    ):
-                        committed_any = True
-                    else:
-                        self.stats["failed_windows"] += 1
-                        window_failed = True
-                        aborted = True
                     continue
                 req_ids = tuple(req.req_id for req in admitted)
                 self.applied_log.append(
@@ -441,60 +464,8 @@ class Shard:
         """The batch-apply seam: every committed write on this shard
         funnels through here into the supervised session (registered
         effect entry point — the body stays mutation-free so the
-        journal-covered session calls are the only state transition).
-        The detonation check fires a poisoned payload *before* any
-        mutation, identically on every ladder rung."""
-        detonate_values(self.session.monoid, verb, payload)
+        journal-covered session calls are the only state transition)."""
         return apply_phase(self.session, verb, payload)
-
-    def _quarantine(
-        self,
-        verb: str,
-        reqs: Sequence[Request],
-        payload: Sequence[Any],
-        exc: BaseException,
-        out: Dict[int, Response],
-    ) -> bool:
-        """Bisect a crashed admitted phase and commit the innocent
-        subset.  Returns ``True`` when the shard made progress (the
-        good subset committed, possibly empty), ``False`` when even the
-        probe-approved subset failed to commit."""
-        self.stats["quarantines"] += 1
-        result = quarantine_bisect(
-            self.session, verb, payload,
-            max_probes=self.policy.quarantine_max_probes,
-        )
-        detail = f"{type(exc).__name__}: {exc}"
-        for i in result.poisoned:
-            req = reqs[i]
-            out[req.req_id] = Response(
-                req.req_id, self.shard_id, "quarantined",
-                reason="poisoned-payload", detail=detail,
-            )
-            self.stats["quarantined"] += 1
-        good_reqs = [reqs[i] for i in result.good]
-        if not good_reqs:
-            return True
-        good_payload = [payload[i] for i in result.good]
-        try:
-            self._apply_admitted(verb, good_payload)
-        except Exception as commit_exc:
-            # Outcome-classification boundary: the probe-approved
-            # subset still failed (e.g. an infra fault on the commit
-            # attempt after the whole ladder) — state is intact, the
-            # subset is reported failed, the window counts as failed.
-            for req in good_reqs:
-                out[req.req_id] = Response(
-                    req.req_id, self.shard_id, "failed",
-                    reason="quarantine-commit-failed", detail=str(commit_exc),
-                )
-            return False
-        req_ids = tuple(req.req_id for req in good_reqs)
-        self.applied_log.append((verb, tuple(good_payload), req_ids))
-        for req in good_reqs:
-            out[req.req_id] = Response(req.req_id, self.shard_id, "applied")
-        self.stats["applied"] += len(good_reqs)
-        return True
 
     # -- circuit breaker ------------------------------------------------
     def _breaker_record_failure(self, now: float) -> None:

@@ -46,6 +46,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidParameterError, PositionError
+from ..transactions import not_position
 from .core import FLAT_COLUMNS, NIL, FlatSnapshot, SnapshotState, txn_begin, txn_commit
 
 __all__ = ["PinnedReader", "pinned_reader"]
@@ -81,9 +82,11 @@ class _Overlay:
 
 
 def _check_range(lo: int, hi: int, n: int) -> None:
-    if not 0 <= lo <= hi < n:
+    note = not_position(lo) or not_position(hi)
+    if note or not 0 <= lo <= hi < n:
         raise PositionError(
-            f"pinned read range [{lo}, {hi}] out of range for {n} leaves"
+            f"pinned read range [{lo!r}, {hi!r}]{note} out of range for "
+            f"{n} leaves"
         )
 
 

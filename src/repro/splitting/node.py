@@ -64,19 +64,6 @@ class BSTNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def sibling(self) -> Optional["BSTNode"]:
-        p = self.parent
-        if p is None:
-            return None
-        return p.right if p.left is self else p.left
-
-    def ancestors(self):
-        """Iterate proper ancestors bottom-up (oracle helper for tests)."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "leaf" if self.is_leaf else "node"
         return (

@@ -60,6 +60,7 @@ from ..snapshots.core import (
 )
 from ..transactions import (
     execute_batch,
+    not_position,
     validate_batch_delete,
     validate_batch_insert,
     validate_batch_update,
@@ -198,8 +199,9 @@ class RBSTS:
 
     def leaf_at(self, index: int) -> BSTNode:
         """The leaf at position ``index`` (0-based); O(depth)."""
-        if not 0 <= index < self.n_leaves:
-            raise PositionError(f"leaf index {index} out of range")
+        note = not_position(index)
+        if note or not 0 <= index < self.n_leaves:
+            raise PositionError(f"leaf index {index!r}{note} out of range")
         node = self.root
         while not node.is_leaf:
             k = node.left.n_leaves  # type: ignore[union-attr]
@@ -354,8 +356,9 @@ class RBSTS:
     ) -> BSTNode:
         """Insert a new leaf so that it lands at position ``index``
         (``0 <= index <= n``).  Returns the new leaf handle."""
-        if not 0 <= index <= self.n_leaves:
-            raise PositionError(f"insert position {index} out of range")
+        note = not_position(index)
+        if note or not 0 <= index <= self.n_leaves:
+            raise PositionError(f"insert position {index!r}{note} out of range")
         new_leaf = self._new_node()
         new_leaf.item = item
         node = self.root

@@ -81,22 +81,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def not_position(x: Any) -> str:
+    """``""`` if ``x`` is a leaf position, else a note naming its type.
+    A ``bool`` is an ``int`` subclass, but ``True`` is not position 1."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return ""
+    return f" ({type(x).__name__}, not int)"
+
+
 def validate_batch_insert(
     n_leaves: int, requests: Sequence[Tuple[int, Any]]
 ) -> List[RequestRejection]:
     """Validate a batch of ``(index, item)`` insert requests against the
     pre-batch sequence length.  Touches no state, draws no randomness.
-    A ``bool`` is an ``int`` subclass, but ``True`` is not position 1:
-    it is rejected like any other non-integer position."""
+    A non-integer position, ``True`` included, is rejected."""
     rejections: List[RequestRejection] = []
     for i, req in enumerate(requests):
         idx = req[0]
-        if isinstance(idx, int) and not isinstance(idx, bool):
-            if 0 <= idx <= n_leaves:
-                continue
-            note = ""
-        else:
-            note = f" ({type(idx).__name__}, not int)"
+        note = not_position(idx)
+        if not note and 0 <= idx <= n_leaves:
+            continue
         rejections.append(
             RequestRejection(
                 i,
@@ -197,14 +201,6 @@ class _Pos:
 
     def __init__(self, pos: int) -> None:
         self.pos = pos
-
-
-def not_position(x: Any) -> str:
-    """``""`` if ``x`` is a leaf position, else a note naming its type.
-    A ``bool`` is an ``int`` subclass, but ``True`` is not position 1."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return ""
-    return f" ({type(x).__name__}, not int)"
 
 
 def validate_positions(

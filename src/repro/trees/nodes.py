@@ -85,12 +85,6 @@ class TreeNode:
     def is_root(self) -> bool:
         return self.parent is None
 
-    def sibling(self) -> Optional["TreeNode"]:
-        p = self.parent
-        if p is None:
-            return None
-        return p.right if p.left is self else p.left
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.is_leaf:
             return f"Leaf({self.nid}, value={self.value!r})"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.rings import INTEGER, modular_ring
+from repro.contraction import evaluator
 from repro.contraction.evaluator import (
     collect_wound,
     heal_bottom_up,
@@ -35,6 +36,22 @@ def wounded_trace(n, seed, k):
     return tree, trace, dirty
 
 
+#: Wound orders for reevaluate_by_contraction.  In collect_wound's
+#: topological order every node resolves directly in round 1; reversed
+#: or shuffled, nodes wait on unresolved children, so partial
+#: application and pointer jumping over affine maps run.
+ORDERS = ("topological", "reversed", "shuffled")
+
+
+def ordered(wound, order, seed):
+    if order == "reversed":
+        return wound[::-1]
+    if order == "shuffled":
+        wound = list(wound)
+        random.Random(seed).shuffle(wound)
+    return wound
+
+
 def test_collect_wound_is_rootward_closure_in_topo_order():
     tree, trace, dirty = wounded_trace(100, 0, 3)
     wound = collect_wound(dirty)
@@ -58,13 +75,18 @@ def test_bottom_up_heal_restores_correct_value(n, seed, k):
 @given(n=st.integers(2, 150), seed=st.integers(0, 25), k=st.integers(1, 8))
 @settings(max_examples=30, deadline=None)
 def test_affine_contraction_agrees_with_bottom_up(n, seed, k):
-    """The Theorem 4.2 equivalence, label-for-label."""
+    """The Theorem 4.2 equivalence, label-for-label, whatever order
+    the wound is handed over in."""
     tree, trace, dirty = wounded_trace(n, seed, k)
     wound = collect_wound(dirty)
-    by_contraction = reevaluate_by_contraction(INTEGER, wound)
+    by_contraction = {
+        order: reevaluate_by_contraction(INTEGER, ordered(wound, order, seed))
+        for order in ORDERS
+    }
     heal_bottom_up(INTEGER, wound)
-    for node in wound:
-        assert by_contraction[id(node)] == node.label, node.kind
+    for order, labels in by_contraction.items():
+        for node in wound:
+            assert labels[id(node)] == node.label, (order, node.kind)
 
 
 def test_affine_contraction_does_not_mutate():
@@ -75,14 +97,27 @@ def test_affine_contraction_does_not_mutate():
     assert [(w.rid, w.label) for w in wound] == before
 
 
-def test_affine_contraction_span_logarithmic():
-    tree, trace, dirty = wounded_trace(2000, 4, 4)
-    wound = collect_wound(dirty)
-    tracker = SpanTracker()
-    reevaluate_by_contraction(INTEGER, wound, tracker)
+def test_affine_contraction_span_logarithmic(monkeypatch):
     import math
 
-    assert tracker.span <= 6 * math.log2(len(wound) + 2) + 8
+    partials = []
+    real_partial = evaluator._partial
+
+    def counting_partial(*args):
+        partials.append(args)
+        return real_partial(*args)
+
+    monkeypatch.setattr(evaluator, "_partial", counting_partial)
+    tree, trace, dirty = wounded_trace(2000, 4, 4)
+    wound = collect_wound(dirty)
+    for order in ORDERS:
+        partials.clear()
+        tracker = SpanTracker()
+        reevaluate_by_contraction(INTEGER, ordered(wound, order, 4), tracker)
+        assert tracker.span <= 6 * math.log2(len(wound) + 2) + 8, order
+        if order != "topological":
+            assert tracker.span >= 2, order
+            assert partials, order
 
 
 def test_heal_charges_logarithmic_span():

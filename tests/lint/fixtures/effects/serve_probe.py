@@ -1,17 +1,16 @@
 """Planted fixture: a quarantine-style prober.
 
 ``bisect`` is registered as a *module-level* entry point (empty
-``class_name``), mirroring ``repro.serve.quarantine.quarantine_bisect``.
+``class_name``), which the effects pass resolves like a method entry.
 Two findings are planted:
 
-* ``probe``'s broad except swallows the taxonomy (R204) — the real
-  prober carries an allowlist justification for exactly this shape;
-  the fixture test checks the finding fires *without* the allowlist
-  and is dropped *with* it.
+* ``probe``'s broad except swallows the taxonomy (R204) — an
+  outcome-classification boundary carries an allowlist justification
+  for exactly this shape; the fixture test checks the finding fires
+  *without* the allowlist and is dropped *with* it.
 * ``probe`` mutates the ``parent`` column with no seam on the path
   from ``bisect`` (R202): a probe that commits instead of rolling
-  back is the bug class the real prober's unconditional rollback
-  prevents.
+  back.
 """
 
 

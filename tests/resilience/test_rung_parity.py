@@ -14,7 +14,7 @@ import pytest
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
-from repro.errors import BatchStructureError
+from repro.errors import BatchStructureError, PositionError
 from repro.resilience.executor import ResiliencePolicy, ResilientListSession
 
 MONOID = sum_monoid(INTEGER)
@@ -22,7 +22,19 @@ RUNGS = ("flat", "reference", "sequential")
 FIVE = [10, 11, 12, 13, 14]
 THREE = [1, 2, 3]
 
-#: (values, call) — fifteen requests the trees refuse, five they accept.
+#: A ``bool`` is not a position: every verb but batch_insert (which
+#: raises its BatchPositionError) refuses one with a PositionError.
+BOOL_PROBES = {
+    "batch_set-bool": (FIVE, lambda s: s.batch_set([(True, 99), (3, 98)])),
+    "batch_delete-bool": (FIVE, lambda s: s.batch_delete([True])),
+    "insert-bool": (FIVE, lambda s: s.insert(True, 99)),
+    "delete-bool": (FIVE, lambda s: s.delete(True)),
+    "prefix-bool": (FIVE, lambda s: s.prefix(True)),
+    "range_fold-bool": (FIVE, lambda s: s.range_fold(True, 2)),
+}
+
+#: (values, call) — twenty-one requests the trees refuse, four they
+#: accept.
 PROBES = {
     "batch_delete-duplicate": (FIVE, lambda s: s.batch_delete([3, 3])),
     "batch_delete-negative": (FIVE, lambda s: s.batch_delete([-1])),
@@ -39,11 +51,11 @@ PROBES = {
     "range_fold-negative": (THREE, lambda s: s.range_fold(-1, 2)),
     "prefix-past-end": (THREE, lambda s: s.prefix(3)),
     "delete-last-leaf": ([7], lambda s: s.delete(0)),
+    **BOOL_PROBES,
     "batch_insert-valid": (
         FIVE, lambda s: s.batch_insert([(5, 99), (0, 98), (0, 97)])
     ),
     "batch_delete-valid": (FIVE, lambda s: s.batch_delete([4, 0])),
-    "batch_set-bool": (FIVE, lambda s: s.batch_set([(True, 99), (3, 98)])),
     "insert-at-end": (FIVE, lambda s: s.insert(5, 99)),
     "range_fold-valid": (THREE, lambda s: s.range_fold(1, 2)),
 }
@@ -69,6 +81,15 @@ def test_every_rung_gives_the_same_outcome(probe):
     assert outcomes["sequential"] == outcomes["flat"] == outcomes["reference"], (
         outcomes
     )
+
+
+@pytest.mark.parametrize("probe", sorted(BOOL_PROBES))
+def test_bool_position_is_a_position_error_on_every_rung(probe):
+    values, call = BOOL_PROBES[probe]
+    for rung in RUNGS:
+        assert _outcome(rung, values, call) == (
+            ("raised", PositionError), values
+        ), rung
 
 
 def test_deleting_the_last_leaf_is_a_client_error_on_the_default_ladder():

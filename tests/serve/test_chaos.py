@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.serve.chaos import CHAOS, ChaosConfig, config_for_seed, run_chaos
+from repro.serve.loadgen import PoisonPill, generate_specs
 from repro.testing.corpus import corpus_paths, load_entry
 
 # Seeds chosen (scan over 0..79, all green) to jointly cover every
@@ -53,12 +54,20 @@ def test_quarantine_isolates_exactly_the_poisoned_requests():
     report = run_chaos(cfg)
     assert report.ok, report.failure
     assert report.statuses.get("quarantined", 0) > 0
-    # run_chaos's own audit already asserts quarantined == poisoned
-    # spec ids and that no pill ever committed; re-check the pinned
-    # id list is exactly the poisoned specs for this config.
-    assert report.statuses.get("quarantined", 0) == len(
-        report.quarantined_ids
+    # Nothing here sheds, expires, rejects or faults, so every pill
+    # reaches admission: the quarantined ids are exactly the request
+    # ids whose spec carries a PoisonPill.
+    specs = generate_specs(
+        cfg.seed, cfg.n_requests, cfg.n_shards, profile=cfg.profile,
+        zipf_s=cfg.zipf_s, poison_rate=cfg.poison_rate,
+        invalid_rate=cfg.invalid_rate, deadline_s=cfg.deadline_s,
+        deadline_jitter=cfg.deadline_jitter,
     )
+    pills = [
+        rid for rid, spec in enumerate(specs)
+        if isinstance(spec.value, PoisonPill)
+    ]
+    assert report.quarantined_ids == pills
 
 
 def test_clean_config_applies_everything():

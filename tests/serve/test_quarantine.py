@@ -1,4 +1,5 @@
-"""Poisoned-batch quarantine: bisection correctness and probe purity."""
+"""Poison quarantine: admission isolates exactly the pills, on every
+rung, and a crash of the apply fails the window with state intact."""
 
 from __future__ import annotations
 
@@ -6,9 +7,8 @@ import pytest
 
 from repro.algebra.monoid import sum_monoid
 from repro.algebra.rings import INTEGER
-from repro.resilience.executor import ResiliencePolicy, ResilientListSession
+from repro.resilience.executor import ResiliencePolicy
 from repro.serve.loadgen import PoisonPill
-from repro.serve.quarantine import quarantine_bisect
 from repro.serve.requests import Request, ServePolicy
 from repro.serve.shard import Shard
 
@@ -17,66 +17,94 @@ MONOID = sum_monoid(INTEGER)
 RUNGS = ("flat", "reference", "sequential")
 
 
-def session_on(rung, values=(1, 2, 3, 4, 5)):
-    return ResilientListSession(
-        MONOID, list(values), seed=5,
-        policy=ResiliencePolicy(ladder=(rung,)),
+def shard_on(rung, values=(1, 2, 3, 4, 5)):
+    return Shard(
+        0, MONOID, list(values), seed=5,
+        policy=ServePolicy(resilience=ResiliencePolicy(ladder=(rung,))),
     )
+
+
+def window_of(verb, payload):
+    return [
+        Request(req_id=i, shard=0, kind=verb, args=args)
+        for i, args in enumerate(payload)
+    ]
+
+
+def statuses(out):
+    return [out[rid].status for rid in sorted(out)]
 
 
 @pytest.mark.parametrize("rung", RUNGS)
 def test_bisection_isolates_exactly_the_pills(rung):
-    session = session_on(rung)
+    """Each pill is quarantined at admission and the innocent rest of
+    the phase commits as one batch, on every rung."""
+    shard = shard_on(rung)
     payload = [
         (0, 10), (1, PoisonPill(1)), (2, 30), (3, 40),
         (4, PoisonPill(2)), (5, 60), (0, 70), (2, 80),
     ]
-    before = session.values()
-    result = quarantine_bisect(session, "insert", payload, max_probes=64)
-    assert result.poisoned == (1, 4)
-    assert result.good == (0, 2, 3, 5, 6, 7)
-    assert not result.exhausted
-    # Probing left zero trace.
-    assert session.values() == before
-    session.check_invariants()
+    out = shard.execute_window(window_of("insert", payload), now=0.0)
+    assert statuses(out) == [
+        "applied", "quarantined", "applied", "applied",
+        "quarantined", "applied", "applied", "applied",
+    ]
+    assert out[1].reason == out[4].reason == "poisoned-payload"
+    assert "PoisonedPayloadError" in out[1].detail
+    # The good subset alone, at its pre-batch positions.
+    assert shard.values() == [10, 70, 1, 2, 30, 80, 3, 40, 4, 5, 60]
+    assert shard.session.rung == rung
+    assert shard.session.stats["retries"] == 0
+    shard.check_invariants()
 
 
 @pytest.mark.parametrize("rung", RUNGS)
 @pytest.mark.parametrize("verb", ("insert", "set"))
 def test_single_pill_any_verb(rung, verb):
-    session = session_on(rung)
+    shard = shard_on(rung)
     payload = [(0, 5), (1, PoisonPill(9)), (2, 6)]
-    result = quarantine_bisect(session, verb, payload, max_probes=64)
-    assert result.poisoned == (1,)
-    assert result.good == (0, 2)
+    out = shard.execute_window(window_of(verb, payload), now=0.0)
+    assert statuses(out) == ["applied", "quarantined", "applied"]
+    expect = {"insert": [5, 1, 2, 6, 3, 4, 5], "set": [5, 2, 6, 4, 5]}
+    assert shard.values() == expect[verb]
+    assert shard.stats["quarantines"] == 1
+    assert shard.stats["quarantined"] == 1
 
 
-def test_all_good_batch_costs_one_probe():
-    session = session_on("flat")
-    result = quarantine_bisect(
-        session, "insert", [(0, 1), (1, 2)], max_probes=64
-    )
-    assert result.poisoned == ()
-    assert result.good == (0, 1)
-    # known-failing top level skips the first probe; the two halves +
-    # the joint re-check account for the rest.
-    assert result.probes <= 3
+@pytest.mark.parametrize("rung", ("flat", "reference"))
+def test_apply_crash_fails_the_window_with_state_intact(rung, monkeypatch):
+    """A non-poison escape from the apply (here a KeyError planted after
+    the tree's own batch_set mutated) is no quarantine: the supervisor
+    rolls the phase back, its requests fail ``apply-crashed``, later
+    phases are aborted and the breaker records one failure."""
+    shard = shard_on(rung)
+    before = shard.values()
+    structure = shard.session._structure
+    real_batch_set = structure.batch_set
 
+    def crashing_batch_set(pairs):
+        real_batch_set(pairs)
+        raise KeyError("planted")
 
-def test_exhausted_budget_fails_safe():
-    """When probes run out, the unresolved remainder is classified
-    poisoned — the service may over-reject, never under-reject."""
-    session = session_on("flat")
-    payload = [(i, PoisonPill(i) if i % 3 == 0 else i) for i in range(12)]
-    result = quarantine_bisect(session, "insert", payload, max_probes=2)
-    assert result.exhausted
-    assert result.probes <= 2
-    # Everything either good-with-joint-probe-pass or poisoned; with a
-    # 2-probe budget nothing can clear, and no pill is ever in `good`.
-    pills = {i for i, (_, v) in enumerate(payload)
-             if isinstance(v, PoisonPill)}
-    assert pills <= set(result.poisoned)
-    assert set(result.good).isdisjoint(pills)
+    monkeypatch.setattr(structure, "batch_set", crashing_batch_set)
+    window = [
+        Request(req_id=0, shard=0, kind="set", args=(0, 100)),
+        Request(req_id=1, shard=0, kind="set", args=(2, 300)),
+        Request(req_id=2, shard=0, kind="delete", args=(1,)),
+        Request(req_id=3, shard=0, kind="insert", args=(0, 7)),
+    ]
+    out = shard.execute_window(window, now=0.0)
+    for rid in (0, 1):
+        assert (out[rid].status, out[rid].reason) == ("failed", "apply-crashed")
+        assert "KeyError" in out[rid].detail
+    for rid in (2, 3):
+        assert (out[rid].status, out[rid].reason) == ("failed", "window-aborted")
+    assert shard.values() == before
+    shard.check_invariants()
+    assert shard.applied_log == []
+    assert shard.breaker_failures == 1
+    assert shard.stats["failed_windows"] == 1
+    assert shard.stats["quarantines"] == 0
 
 
 def test_shard_quarantine_commits_exactly_the_oracle_subset():
