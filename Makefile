@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-perf bench bench-smoke bench-regress bench-check bench-trace bench-pairs \
+.PHONY: test test-perf experiments bench bench-smoke bench-regress bench-check bench-trace bench-pairs \
         regress lint fuzz-smoke fuzz-selftest fuzz-crash \
         fuzz-faults fuzz-snapshots fuzz-serve fuzz-contraction \
         corpus-replay clean
@@ -17,6 +17,14 @@ test:
 ## Just the flat-vs-reference differential harness.
 test-perf:
 	$(PYTHON) -m pytest tests/perf -q
+
+## The paper's experiments E1-E13 (benchmarks/bench_e*.py): each
+## asserts its theorem's shape and rewrites its table under
+## benchmarks/results/.  The tables hold simulated PRAM quantities
+## only, so a fresh run must leave the committed ones unchanged; CI
+## fails on any difference (`git diff --exit-code benchmarks/results`).
+experiments:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q
 
 ## Full perf harness: refresh BENCH_PR7.json at the repo root.
 bench:

@@ -1527,8 +1527,9 @@ class FlatRBSTS:
         region = set(dirty)
         region.update(map(parent.__getitem__, dirty))
         relinked = list(born)
-        for s, pre in since.saved.items():
-            p, l, r = pre[0], pre[1], pre[2]
+        pre = since.pre  # cells 0-2 of a pre-image: parent, left, right
+        for s, off in since.saved.items():
+            p, l, r = pre[off], pre[off + 1], pre[off + 2]
             region.add(p)
             if p != parent[s] or l != left[s] or r != right[s]:
                 relinked.append(s)

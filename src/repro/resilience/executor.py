@@ -366,8 +366,19 @@ class ResilientListSession:
                 # The oracle rung: assumed fault-free (it is the thing
                 # everything else is checked against).  A plain list
                 # checks nothing, so the trees' checks run first.
-                _admit_on_list(op, len(self._structure), args)
-                return on_list(self._structure)
+                lst = self._structure
+                _admit_on_list(op, len(lst), args)
+                if not mutating:
+                    return on_list(lst)
+                # Nor does it journal: a copy of its items is the
+                # checkpoint, put back on any escape, so a failed verb
+                # leaves the list intact as a tree rung's rollback does.
+                checkpoint = list(lst.items)
+                try:
+                    return on_list(lst)
+                except BaseException:
+                    lst.items = checkpoint
+                    raise
             event = None
             if self.plan is not None and mutating:
                 event = self.plan.draw(op_index, kinds=TREE_FAULT_KINDS)

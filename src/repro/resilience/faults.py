@@ -421,7 +421,7 @@ def _corrupt_flat(
     if kind == "stale-epoch":
         # Revert one journal-covered cell to its pre-batch value.
         for s in _rotated(saved, pick):
-            pre = journal.saved[s]
+            pre = journal.pre_image(s)
             for col, name in ((3, "_n_leaves"), (5, "_height"), (4, "_depth")):
                 column = getattr(tree, name)
                 if column[s] != pre[col]:

@@ -11,12 +11,12 @@ none copies the slab or walks the leaves.
   records copy-on-write pre-images through the journal seam; it copies
   the master-RNG state only if something draws under it.  While the
   pin holds no pre-images, a query walks the live columns from the
-  pinned root directly.  Otherwise it reads slot ``i`` from
-  ``saved[i]`` if it was written since the pin, else from the live
-  column (one ``saved`` probe per slot read).  Slots born later are
-  unreachable from that root and slots freed or reused are in
-  ``saved``, so the overlay stays exact while writers opened after the
-  pin mutate, commit or roll back.
+  pinned root directly.  Otherwise it reads slot ``i``'s cell from the
+  snapshot's flat pre-image list if the slot was written since the
+  pin, else from the live column (one ``saved`` probe per slot read).
+  Slots born later are unreachable from that root and slots freed or
+  reused are in ``saved``, so the overlay stays exact while writers
+  opened after the pin mutate, commit or roll back.
 * **Reference backend**: no O(1) epoch pin exists, so the reader
   deep-captures a :class:`~repro.snapshots.core.SnapshotState` at pin
   time (O(n)) and runs the same descents over its columns.
@@ -51,7 +51,10 @@ from .core import FLAT_COLUMNS, NIL, FlatSnapshot, SnapshotState, txn_begin, txn
 
 __all__ = ["PinnedReader", "pinned_reader"]
 
-#: Column name -> index into a ``FlatSnapshot.saved`` pre-image tuple.
+#: Column name -> cell offset within a ``FlatSnapshot`` pre-image: slot
+#: ``i``'s cell of that column is ``snap.pre[snap.saved[i] + k]`` (the
+#: pre-images share one flat list, no tuple per slot; see
+#: :class:`~repro.snapshots.core.FlatSnapshot`).
 _SLOT_INDEX: Dict[str, int] = {name: k for k, name in enumerate(FLAT_COLUMNS)}
 
 
@@ -66,19 +69,21 @@ class _PinnedFlatSnapshot(FlatSnapshot):
 
 class _Overlay:
     """One pinned column while the pin holds pre-images: slot ``i``
-    reads ``saved[i][k]`` if it was written since the pin, else the
+    reads its cell from the snapshot's flat pre-image list,
+    ``pre[saved[i] + k]``, if it was written since the pin, else the
     live column."""
 
-    __slots__ = ("live", "saved", "k")
+    __slots__ = ("live", "saved", "pre", "k")
 
-    def __init__(self, live: Sequence[Any], saved: Dict[int, Tuple[Any, ...]], name: str) -> None:
+    def __init__(self, live: Sequence[Any], snap: FlatSnapshot, name: str) -> None:
         self.live = live
-        self.saved = saved
+        self.saved = snap.saved
+        self.pre = snap.pre
         self.k = _SLOT_INDEX[name]
 
     def __getitem__(self, i: int) -> Any:
-        pre = self.saved.get(i)
-        return self.live[i] if pre is None else pre[self.k]
+        off = self.saved.get(i)
+        return self.live[i] if off is None else self.pre[off + self.k]
 
 
 def _check_range(lo: int, hi: int, n: int) -> None:
@@ -190,8 +195,7 @@ class PinnedReader:
         snap = self._snap
         if self._state is None and snap is not None:
             tree = self._tree
-            saved = snap.saved
-            if not saved:  # nothing written since the pin: live is pinned
+            if not snap.saved:  # nothing written since the pin: live is pinned
                 return (
                     snap.root_index,
                     tree._left,
@@ -200,7 +204,7 @@ class PinnedReader:
                     getattr(tree, value),
                 )
             left, right, counts, values = (
-                _Overlay(getattr(tree, name), saved, name)
+                _Overlay(getattr(tree, name), snap, name)
                 for name in ("_left", "_right", "_n_leaves", value)
             )
             return snap.root_index, left, right, counts, values

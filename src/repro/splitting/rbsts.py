@@ -367,7 +367,7 @@ class RBSTS:
             m = node.n_leaves
             if tracker is not None:
                 tracker.tick(1)
-            if node.is_leaf or self._rng.random() * m < 1.0:
+            if node.is_leaf or self._rebuild_coin(m):
                 self._n_highwater = max(self._n_highwater, self.n_leaves + 1)
                 leaves = _subtree_leaves(node)
                 leaves.insert(offset, new_leaf)
@@ -388,6 +388,14 @@ class RBSTS:
                 node = node.right  # type: ignore[assignment]
         self._update_upward(rebuilt)
         return new_leaf
+
+    def _rebuild_coin(self, m: int) -> bool:
+        """The single insert's rebuild coin at a node of ``m`` leaves:
+        true with probability 1/m, one master-RNG draw.  The E12
+        ablation overrides it to scale the probability; the split
+        draws of ``build_subtree`` and the delete's adjacency coin
+        share the generator and stay as they are."""
+        return self._rng.random() * m < 1.0
 
     def delete(self, leaf: BSTNode, tracker: Optional[SpanTracker] = None) -> Any:
         """Remove ``leaf`` (by handle).  Returns its item."""

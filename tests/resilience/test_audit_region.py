@@ -172,7 +172,7 @@ def _inject(tree, since, slot, kind):
     (``corrupt_journaled_cell``), degrading to a bit-flip where the
     kind has nothing to act on.  Returns the kind actually applied."""
     if kind == "stale-epoch" and slot in since.saved:
-        pre = since.saved[slot]
+        pre = since.pre_image(slot)
         for col, name in ((3, "_n_leaves"), (5, "_height"), (4, "_depth")):
             column = getattr(tree, name)
             if column[slot] != pre[col]:

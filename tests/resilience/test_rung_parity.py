@@ -103,3 +103,26 @@ def test_deleting_the_last_leaf_is_a_client_error_on_the_default_ladder():
     assert session.stats["attempts"] == 0
     assert session.stats["checkpoints"] == 0
     assert not session.events
+
+
+@pytest.mark.parametrize("rung", RUNGS)
+def test_a_verb_that_fails_after_applying_leaves_the_values_intact(rung, monkeypatch):
+    """Failed means state intact on every rung: a ``batch_set`` that
+    raises after it applied is rolled back, by the supervisor's
+    checkpoint on a tree rung and by the session's copy of the items on
+    the sequential one."""
+    session = ResilientListSession(
+        MONOID, [1, 2, 3, 4, 5], seed=1, policy=ResiliencePolicy(ladder=(rung,))
+    )
+    structure = session._structure
+    real_batch_set = structure.batch_set
+
+    def crashing_batch_set(pairs):
+        real_batch_set(pairs)
+        raise KeyError("planted")
+
+    monkeypatch.setattr(structure, "batch_set", crashing_batch_set)
+    with pytest.raises(Exception):
+        session.batch_set([(0, 100)])
+    assert session.values() == [1, 2, 3, 4, 5]
+    session.check_invariants()
