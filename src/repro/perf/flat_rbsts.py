@@ -167,11 +167,6 @@ class FlatRBSTS:
         # MVCC epoch counter (repro.snapshots.core).
         self._txn: Optional[FlatSnapshot] = None
         self._snapshot_epoch = 0
-        # Whether the current state passed a supervised audit: the
-        # region audit (``check_invariants(since=...)``) trusts only a
-        # pre-state that did.  Opening a writer bracket clears it and a
-        # rewind restores the capture's value (``FlatSnapshot``).
-        self._audited = False
         # depth -> shortcut-target getter for the audit (``_target_pick``)
         self._target_picks: Dict[int, Callable[[List[int]], Tuple[int, ...]]] = {}
         self._rng = random.Random(seed)
@@ -217,6 +212,13 @@ class FlatRBSTS:
             leaf_slots, base_depth=0, path=[], tracker=None
         )
         self.last_batch_stats: Dict[str, Any] = {}
+        # Whether the current state is vouched for: the region audit
+        # (``check_invariants(since=...)``) trusts only a pre-state that
+        # passed a supervised audit or that this constructor just built
+        # (the §2 construction lemma, argued in ``check_invariants``).
+        # Opening a writer bracket clears it and a rewind restores the
+        # capture's value (``FlatSnapshot``).
+        self._audited = True
 
     # ------------------------------------------------------------------
     # slab allocator
@@ -1346,11 +1348,35 @@ class FlatRBSTS:
         snapshot seam, so if the state at ``since``'s capture passed an
         audit, only the batch's dirty region (:meth:`_dirty_region`)
         can break one, and only that region is checked.  The full walk
-        runs instead when the capture state has not passed an audit
-        (construction, ``SnapshotState`` restore, a transaction closed
-        without one), when the shortcut presence threshold moved (it
-        decides which untouched slots must carry shortcuts), or when
-        the region is not smaller than the slab.
+        runs instead when the capture state is not vouched for
+        (``SnapshotState`` restore or persisted load, whose columns come
+        from outside the constructor; ``repair`` outside a checkpoint;
+        any writer bracket closed without an audit), when the shortcut
+        presence threshold moved (it decides which untouched slots must
+        carry shortcuts), or when the region is not smaller than the
+        slab.
+
+        Why a fresh tree counts as audited:
+
+        * **Construction.** ``__init__`` builds every slot through
+          ``_build`` and satisfies every per-slot invariant by
+          construction (the §2 lemma; the tier-1
+          ``tests/perf/test_flat_construction.py`` pins it for every
+          size up to 300 leaves and around 2^12).  That covers the
+          trees a serving shard or a session starts with and the one
+          a ladder demotion rebuilds from the committed values.
+        * **The fault model.** The fault plan draws only inside
+          supervised operations, and ``corrupt_journaled_cell`` damages
+          only slots the open snapshot saved or saw born, so its damage
+          always lies in the region.
+        * **Out of scope.** ``plant_metadata_damage`` and
+          ``plant_link_damage`` are at-rest damage, scrub's job.  Damage
+          planted before the first write is as invisible to the region
+          pass as damage planted after any audited write already is.
+          It is still caught by a threshold crossing's full walk, by
+          ``scrub``, and by every caller without ``since`` (the chaos
+          post-run checks, the fuzz oracles, the benchmark's per-round
+          check).
         """
         if since is None:
             self._check_all()

@@ -12,7 +12,9 @@ pin four things:
 * **fault coverage** — every injectable tree fault on every dirty or
   born slot of real batches is caught by the region pass itself;
 * **fallbacks** — the full walk runs when the shortcut threshold moves
-  or the pre-state was never audited, and pinned reads do not force it;
+  or the pre-state was neither audited nor freshly built (restore,
+  load, repair outside a checkpoint), and pinned reads do not force it;
+  a tree the constructor just built takes the region pass at once;
 * **serve windows** — one-request windows over a seeded write stream
   audit their region, and full walks stay a small fixed fraction.
 """
@@ -210,11 +212,13 @@ def _corrupt_every_slot(audit, tree, since, applied):
 
 
 def test_every_fault_on_every_dirty_slot_is_caught_by_the_region(monkeypatch):
+    """Starts from a tree no walk has ever seen: the constructor's vouch
+    alone lets the first write take the region pass, which must then
+    catch every fault kind on its own."""
     walks = FullWalks(monkeypatch)
     session = ResilientListSession(MONOID, range(N_LEAVES), seed=11)
     tree = session._structure.tree
-    session.total()  # first supervised call: the full walk, then trusted
-    assert walks.of(tree) == 1
+    assert walks.of(tree) == 0
     audit = FlatRBSTS.check_invariants
     shots = []
     applied = {}
@@ -232,6 +236,7 @@ def test_every_fault_on_every_dirty_slot_is_caught_by_the_region(monkeypatch):
     session.batch_insert([(p, p) for p in range(3, N_LEAVES - 200, 613)])
     assert tree.last_batch_stats["rebuild_mass"] > 0
     assert len(shots) == 3 and all(shots)
+    assert walks.of(tree) == 0
     # Each kind acted as itself somewhere (not only as the fallback flip).
     assert set(applied) == set(TREE_FAULT_KINDS)
     # Nothing stuck: every shot was undone and the session is clean.
@@ -239,10 +244,69 @@ def test_every_fault_on_every_dirty_slot_is_caught_by_the_region(monkeypatch):
     tree.check_invariants()
 
 
+def _spoil(tree, slot, column):
+    """Corrupt one cell of ``slot``; returns the clean value."""
+    cells = getattr(tree, column)
+    clean = cells[slot]
+    if column == "_shortcuts":
+        cells[slot] = (slot,) + clean[1:]  # a slot is not its own ancestor
+    elif column == "_depth":
+        cells[slot] = clean + 1
+    else:
+        cells[slot] = clean ^ 1
+    return clean
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ("_depth", "depth"),
+        ("_n_leaves", "bad n_leaves"),
+        ("_shortcuts", "are not its ancestors"),
+    ],
+)
+def test_a_spine_cell_spoiled_in_the_first_write_is_caught_by_the_region(
+    monkeypatch, column, message
+):
+    """In a fresh tree's first supervised ``batch_set``, one cell of an
+    internal slot on the written leaf's root path goes bad after the
+    journal saved it.  The region pass alone must catch it: the tree
+    was never walked, and no walk runs."""
+    walks = FullWalks(monkeypatch)
+    session = ResilientListSession(MONOID, range(N_LEAVES), seed=14)
+    tree = session._structure.tree
+    audit = FlatRBSTS.check_invariants
+    caught = []
+
+    def planted(t, since=None):
+        if since is not None and not caught:
+            spine = sorted(
+                (s for s in since.saved
+                 if t._left[s] != -1 and t._shortcuts[s] is not None),
+                key=t._depth.__getitem__,
+            )
+            assert len(spine) > 2
+            slot = spine[len(spine) // 2]
+            clean = _spoil(t, slot, column)
+            with pytest.raises(TreeStructureError, match=message):
+                audit(t, since)
+            caught.append(slot)
+            getattr(t, column)[slot] = clean
+        return audit(t, since)
+
+    monkeypatch.setattr(FlatRBSTS, "check_invariants", planted)
+    session.batch_set([(N_LEAVES // 3, -1)])
+    assert caught
+    assert walks.of(tree) == 0
+    assert session.stats["rollbacks"] == 0
+    tree.check_invariants()
+
+
 def _bracket_on_audited_tree(monkeypatch, seed):
+    """A writer bracket on a fresh tree, which its constructor vouches
+    for: the audit below is the tree's first, and a region pass."""
     walks = FullWalks(monkeypatch)
     session = ResilientListSession(MONOID, range(300), seed=seed)
-    session.total()
     tree = session._structure.tree
     return walks, tree, tree._txn_begin()
 
@@ -258,7 +322,7 @@ def test_an_unpropagated_write_is_caught_at_the_parent(monkeypatch):
     tree._summary[leaf] = 1000
     with pytest.raises(TreeStructureError, match="bad summary"):
         tree.check_invariants(since=journal)
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 1)
     with pytest.raises(TreeStructureError):
         tree._check_all()  # the oracle agrees
     tree._txn_rollback(journal)
@@ -282,7 +346,7 @@ def test_an_orphaned_leaf_is_caught_through_the_relinked_parent(monkeypatch):
     tree._left[p] = copy
     with pytest.raises(TreeStructureError, match="neither live nor free"):
         tree.check_invariants(since=journal)
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 1)
     with pytest.raises(TreeStructureError):
         tree._check_all()  # the oracle agrees
     tree._txn_rollback(journal)
@@ -314,7 +378,7 @@ def test_a_stolen_child_is_caught_at_its_old_parent(monkeypatch):
     left[q] = c
     with pytest.raises(TreeStructureError):
         tree.check_invariants(since=journal)
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 1)
     with pytest.raises(TreeStructureError):
         tree._check_all()  # the oracle agrees
     tree._txn_rollback(journal)
@@ -327,7 +391,6 @@ def test_a_free_slot_linked_in_is_caught_as_a_relinked_child(monkeypatch):
     the parent checks out, the replaced leaf went to the free list, and
     only the linked-in slot itself is wrong — it is live and free.  The
     region reaches it as a current child of the relinked parent."""
-    walks = FullWalks(monkeypatch)
     session = ResilientListSession(MONOID, range(300), seed=12)
     tree = session._structure.tree
     old = next(s for s in range(300) if tree._left[tree._parent[s]] == s)
@@ -336,14 +399,15 @@ def test_a_free_slot_linked_in_is_caught_as_a_relinked_child(monkeypatch):
     for name in ("_item", "_summary", "_depth", "_parent"):
         getattr(tree, name)[spare] = getattr(tree, name)[old]
     tree._free.append(spare)
-    session.total()  # the supervised full walk vouches for this state
+    tree._check_all()  # the constructor's vouch still holds
+    walks = FullWalks(monkeypatch)
     journal = tree._txn_begin()
     tree._free_slot(old)
     tree._journal.save_slot(tree, p)
     tree._left[p] = spare
     with pytest.raises(TreeStructureError, match="on the free list"):
         tree.check_invariants(since=journal)
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 1)
     with pytest.raises(TreeStructureError):
         tree._check_all()  # the oracle agrees
     tree._txn_rollback(journal)
@@ -384,19 +448,28 @@ def test_threshold_crossing_runs_the_full_walk(monkeypatch):
     assert session.values() == list(range(n - 1)) + [7, 9]
 
 
-def test_first_supervised_call_after_construction_walks_everything(monkeypatch):
+def test_first_supervised_call_after_construction_takes_the_region_pass(
+    monkeypatch,
+):
+    """The constructor vouches for its tree (the construction lemma,
+    ``tests/perf/test_flat_construction.py``): no supervised call on a
+    fresh tree walks it."""
     walks = FullWalks(monkeypatch)
     session = ResilientListSession(MONOID, range(300), seed=2)
     tree = session._structure.tree
     session.batch_set([(5, 1)])
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 1)
     session.batch_set([(6, 1)])
     session.batch_insert([(10, 4)])
     session.total()
-    assert walks.of(tree) == 1
+    assert walks.of(tree) == 0
 
 
-def test_first_supervised_call_after_demotion_walks_everything(monkeypatch):
+def test_first_supervised_call_after_demotion_takes_the_region_pass(
+    monkeypatch,
+):
+    """A demotion rebuilds the committed values through the flat
+    constructor, so the new tree is vouched for like any fresh one."""
     walks = FullWalks(monkeypatch)
     vals = list(range(300))
     session = ResilientListSession(
@@ -416,9 +489,9 @@ def test_first_supervised_call_after_demotion_walks_everything(monkeypatch):
     assert session.prefix(len(vals) - 1) == sum(vals)
     assert session.rung == "flat"
     tree = session._structure.tree
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 1)
     session.batch_set([(0, 1000)])
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 2)
 
 
 @pytest.mark.parametrize("via", ["restore", "load"])
@@ -431,14 +504,16 @@ def test_first_supervised_call_after_restore_walks_everything(
     session.batch_set([(1, 1)])
     state = SnapshotState.capture(tree)
     session.batch_set([(2, 2)])
-    assert walks.of(tree) == 1
+    assert walks.of(tree) == 0
     if via == "load":
         state = load(save(state, tmp_path / "tree.snap"))
     state.restore(tree)
+    # The restored columns come from outside the constructor.
+    assert not tree._audited
     session.batch_set([(3, 3)])
-    assert walks.of(tree) == 2
+    assert walks.of(tree) == 1
     session.batch_set([(4, 4)])
-    assert walks.of(tree) == 2
+    assert walks.of(tree) == 1
 
 
 def test_repair_outside_a_checkpoint_walks_everything(monkeypatch):
@@ -448,6 +523,7 @@ def test_repair_outside_a_checkpoint_walks_everything(monkeypatch):
     session.batch_set([(1, 1)])
     assert plant_metadata_damage(tree, seed=3)
     session.heal()  # repair commits its own transaction
+    assert not tree._audited
     walked = walks.of(tree)
     session.batch_set([(2, 2)])
     assert walks.of(tree) == walked + 1
@@ -460,12 +536,12 @@ def test_pinned_reads_between_windows_keep_the_region_pass(monkeypatch):
     session = ResilientListSession(MONOID, range(300), seed=8)
     tree = session._structure.tree
     session.batch_set([(1, 1)])
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 1)
     for k in range(3):
         with tree.pinned_reader(monoid=MONOID) as reader:
             assert reader.total() == sum(session.values())
         session.batch_set([(k, k)])
-    assert walks.of(tree) == 1
+    assert (walks.of(tree), walks.regions_of(tree)) == (0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +552,9 @@ def test_pinned_reads_between_windows_keep_the_region_pass(monkeypatch):
 def test_one_request_windows_audit_their_region_not_the_tree(monkeypatch):
     """A seeded write stream through the clock-free shard core at window
     size 1, so the window count is deterministic.  Every window runs
-    exactly one supervised audit; full walks (construction, shortcut
-    threshold crossings) stay under 1/20 of the region passes.  A
+    exactly one supervised audit.  A fresh tree is vouched for by its
+    constructor, so only shortcut threshold crossings walk the whole
+    tree, and full walks stay under 1/40 of the region passes.  A
     supervisor that walks the whole tree after every window fails this
     by two orders of magnitude on any machine."""
     walks = FullWalks(monkeypatch)
@@ -508,4 +585,4 @@ def test_one_request_windows_audit_their_region_not_the_tree(monkeypatch):
         tree = shard.session._structure.tree
         full, region = walks.of(tree), walks.regions_of(tree)
         assert full + region == shard.stats["windows"]
-        assert full * 20 <= region, (shard.shard_id, full, region)
+        assert full * 40 <= region, (shard.shard_id, full, region)

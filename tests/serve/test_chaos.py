@@ -12,11 +12,18 @@ corpus replay asserts each digest, and this file checks the set.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
-from repro.serve.chaos import CHAOS, ChaosConfig, config_for_seed, run_chaos
+from repro.serve.chaos import (
+    CHAOS,
+    COVERAGE_CLASSES,
+    ChaosConfig,
+    config_for_seed,
+    run_chaos,
+)
 from repro.serve.loadgen import PoisonPill, generate_specs
 from repro.testing.corpus import corpus_paths, load_entry
 
@@ -102,3 +109,53 @@ def test_corpus_has_the_four_pinned_regimes():
     joined = " ".join(data["note"] for data in pinned)
     for regime in ("shed", "quarantine", "demotion", "breaker"):
         assert regime in joined, f"no pinned entry covers {regime!r}"
+
+
+# ---------------------------------------------------------------------------
+# pinned sweep digests
+# ---------------------------------------------------------------------------
+
+#: The decision digests of ``python -m repro.testing.fuzz chaos --seed 0
+#: --runs 40 --ops 150`` (the ``make fuzz-serve`` sweep), one per seed.
+#: A change to window semantics that moves them on purpose re-pins the
+#: file with ``PYTHONPATH=src python tests/serve/test_chaos.py`` and
+#: names the change, as it would for the corpus.
+DIGESTS_PATH = os.path.join(os.path.dirname(__file__), "chaos_digests.json")
+SWEEP_SEEDS = range(40)
+SWEEP_OPS = 150
+
+
+def _sweep():
+    reports = [run_chaos(config_for_seed(s, SWEEP_OPS)) for s in SWEEP_SEEDS]
+    for seed, report in zip(SWEEP_SEEDS, reports):
+        assert report.ok, f"seed {seed}: {report.failure}"
+    return reports
+
+
+def test_the_fuzz_serve_sweep_reproduces_its_pinned_digests():
+    with open(DIGESTS_PATH) as fh:
+        pinned = json.load(fh)["digests"]
+    reports = _sweep()
+    got = {str(r.config.seed): r.digest for r in reports}
+    moved = {s: (pinned.get(s), d) for s, d in got.items() if pinned.get(s) != d}
+    assert not moved, f"{len(moved)} digests moved (pinned, now): {moved}"
+    assert set(pinned) == set(got)
+    observed = {
+        cls for r in reports for cls, hit in r.observed.items() if hit
+    }
+    assert observed >= set(COVERAGE_CLASSES)
+
+
+if __name__ == "__main__":
+    with open(DIGESTS_PATH, "w") as fh:
+        json.dump(
+            {
+                "command": "python -m repro.testing.fuzz chaos --seed 0 "
+                f"--runs {len(SWEEP_SEEDS)} --ops {SWEEP_OPS}",
+                "digests": {str(r.config.seed): r.digest for r in _sweep()},
+            },
+            fh,
+            indent=1,
+            sort_keys=True,
+        )
+        fh.write("\n")
